@@ -3,8 +3,9 @@
 // event-queue traffic the run generated. Throughput lands in the metrics
 // registry as engine.replans_per_sec next to the driver-maintained
 // engine.event_pushes / engine.event_pops counters, and the run manifest
-// carries the phase breakdown (engine.plan / engine.execute / ...), so
-// one run yields everything a regression dashboard needs.
+// carries the phase breakdown (engine.execute / core.plan / ...) next to
+// the scheduler.compute_ns planning histogram, so one run yields
+// everything a regression dashboard needs.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -95,8 +96,7 @@ int main(int argc, char** argv) {
   double best_rps = 0;
   for (int r = 0; r < repeat; ++r) {
     // Sample only the first timed replay — BeginRun resets the sampler,
-    // so attaching every repetition would keep just the last and charge
-    // its windows a second warm-cache pass.
+    // so attaching every repetition would keep just the last.
     ec.timeline = r == 0 ? session.timeline() : nullptr;
     const auto begin = std::chrono::steady_clock::now();
     const engine::EngineResult result =

@@ -148,7 +148,7 @@ BENCHMARK(BM_IntraSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_PrtReserve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    PortReservationTable prt(static_cast<PortId>(n));
+    FabricReservationTable prt(static_cast<PortId>(n));
     // n back-to-back reservations per port pair chain.
     Time t = 0;
     for (int k = 0; k < n; ++k) {

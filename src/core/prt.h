@@ -6,8 +6,7 @@
 // constraint (an optical port carries at most one circuit per plane at a
 // time), so existing reservations are never preempted — the data structure
 // *is* the non-preemption guarantee. On the classic single-plane fabric
-// everything lives on plane 0 and the legacy PortReservationTable name is
-// an alias for this class.
+// everything lives on plane 0.
 //
 // Storage is a flat sorted vector per (side, plane, port) timeline (slots
 // are non-overlapping, so sorting by start also sorts the release ends)
@@ -200,9 +199,5 @@ class FabricReservationTable {
   std::vector<Time> release_times_;  ///< sorted ascending, duplicates kept
   std::vector<CircuitReservation> all_;
 };
-
-/// The paper-era name: on the single-plane fabric the two are the same
-/// structure, so existing call sites keep compiling unchanged.
-using PortReservationTable = FabricReservationTable;
 
 }  // namespace sunflow

@@ -1,16 +1,13 @@
 #include "core/sunflow.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <queue>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "core/plan_memo.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
@@ -50,34 +47,6 @@ class ArenaMetricsScope {
   runtime::Arena& arena_;
   runtime::ArenaStats before_;
 };
-
-// 64-bit mix for the Ordered() cache key (splitmix64 finalizer). Not
-// cryptographic; collisions only matter if a caller mutates a request's
-// demand in place *and* the old and new contents collide, which the
-// documented invalidation contract already rules out in practice.
-std::uint64_t Mix64(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-
-std::uint64_t OrderedCacheKey(const SunflowConfig& config,
-                              const PlanRequest& request) {
-  std::uint64_t h = 0x517cc1b727220a95ULL;
-  h = Mix64(h, static_cast<std::uint64_t>(config.order));
-  h = Mix64(h, config.shuffle_seed);
-  h = Mix64(h, std::bit_cast<std::uint64_t>(config.demand_quantum));
-  h = Mix64(h, static_cast<std::uint64_t>(request.coflow));
-  h = Mix64(h, request.demand.size());
-  for (const FlowDemand& f : request.demand) {
-    h = Mix64(h, static_cast<std::uint64_t>(f.src) << 32 |
-                     static_cast<std::uint32_t>(f.dst));
-    h = Mix64(h, std::bit_cast<std::uint64_t>(f.processing));
-  }
-  return h == 0 ? 1 : h;  // 0 marks "no cache"
-}
 
 }  // namespace
 
@@ -183,10 +152,8 @@ void SunflowPlanner::ImportReservations(
   }
 }
 
-const std::vector<FlowDemand>& SunflowPlanner::Ordered(
+std::vector<FlowDemand> SunflowPlanner::Ordered(
     const PlanRequest& request) const {
-  const std::uint64_t key = OrderedCacheKey(config_, request);
-  if (request.ordered_cache_key == key) return request.ordered_cache;
   std::vector<FlowDemand> p = request.demand;
   if (config_.demand_quantum > 0) {
     for (FlowDemand& f : p) {
@@ -221,9 +188,7 @@ const std::vector<FlowDemand>& SunflowPlanner::Ordered(
                        });
       break;
   }
-  request.ordered_cache = std::move(p);
-  request.ordered_cache_key = key;
-  return request.ordered_cache;
+  return p;
 }
 
 Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
@@ -271,7 +236,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   if (has_established() && established_at_ > request.start + kTimeEps) {
     return ScheduleOneRescan(request, out);
   }
-  const std::vector<FlowDemand>& ordered = Ordered(request);
+  const std::vector<FlowDemand> ordered = Ordered(request);
 
   Time finish = request.start;
   Time t = request.start;
@@ -691,83 +656,10 @@ SunflowSchedule SunflowPlanner::ScheduleAll(
 
 SunflowSchedule SunflowPlanner::ScheduleAll(
     const std::vector<const PlanRequest*>& requests) {
-  // Declared first so its destructor runs last: the flushed deltas cover
-  // every nested ScheduleOne scratch frame and the key buffer below.
+  // Flushes the arena traffic of every nested ScheduleOne scratch frame.
   const ArenaMetricsScope arena_metrics(runtime::ThisThreadArena());
   SunflowSchedule out;
-  // The memo stores per-request deltas against the PRT state left by the
-  // requests before them, so reuse needs a fresh PRT; a sink or callback
-  // would miss its emissions on a spliced prefix, so their presence turns
-  // the memo off (output bytes are identical either way).
-  const bool use_memo = config_.plan_reuse && sink_ == nullptr &&
-                        !callback_ && prt_.reservations().empty() &&
-                        !requests.empty();
-  if (!use_memo) {
-    for (const PlanRequest* req : requests) ScheduleOne(*req, out);
-    out.reservations = prt_.reservations();
-    return out;
-  }
-
-  static thread_local obs::Counter& cache_hits =
-      obs::GlobalMetrics().GetCounter("plan.cache_hits");
-  static thread_local obs::Counter& cache_misses =
-      obs::GlobalMetrics().GetCounter("plan.cache_misses");
-
-  PlanMemo& memo = GlobalPlanMemo();
-  // The rolling prefix-hash buffer is pure per-call scratch: arena-backed,
-  // rewound when this call returns.
-  runtime::Arena& arena = runtime::ThisThreadArena();
-  const runtime::ArenaScope scratch(arena);
-  runtime::ArenaVector<PlanMemo::Key> keys{
-      runtime::ArenaAllocator<PlanMemo::Key>(arena)};
-  std::vector<std::shared_ptr<const PlanMemo::Delta>> prefix;
-  {
-    SUNFLOW_PROFILE_SCOPE("core.plan.reuse");
-    PlanMemo::Key key = PlanMemo::BaseKey(prt_.num_ports(), config_, planes_,
-                                          established_, established_at_);
-    keys.reserve(requests.size());
-    for (const PlanRequest* req : requests) {
-      key = PlanMemo::Extend(key, *req);
-      keys.push_back(key);
-    }
-    prefix = memo.TakePrefix(keys.data(), keys.size());
-    // Splice the memoized prefix verbatim: the stored doubles are the
-    // planner's own prior output, so the PRT ends up byte-identical to
-    // re-planning these requests.
-    for (const auto& d : prefix) {
-      for (const CircuitReservation& r : d->reservations) prt_.Reserve(r);
-      for (const auto& [fk, t_fin] : d->flow_finish)
-        out.flow_finish[fk] = t_fin;
-      out.completion_time[d->coflow] = d->completion_time;
-      out.reservation_count[d->coflow] += d->reservation_count;
-    }
-  }
-  cache_hits.Increment(prefix.size());
-  cache_misses.Increment(requests.size() - prefix.size());
-  out.memo_hits = prefix.size();
-  out.memo_lookups = requests.size();
-
-  // Re-plan only the suffix, feeding each fresh delta back into the memo.
-  for (std::size_t i = prefix.size(); i < requests.size(); ++i) {
-    const PlanRequest& req = *requests[i];
-    const std::size_t first_new = prt_.reservations().size();
-    const Time finish = ScheduleOne(req, out);
-    PlanMemo::Delta d;
-    d.coflow = req.coflow;
-    d.completion_time = finish - req.start;
-    d.reservation_count =
-        static_cast<int>(prt_.reservations().size() - first_new);
-    d.reservations.assign(prt_.reservations().begin() +
-                              static_cast<std::ptrdiff_t>(first_new),
-                          prt_.reservations().end());
-    for (auto it = out.flow_finish.lower_bound(
-             FlowKey{req.coflow, std::numeric_limits<PortId>::min(),
-                     std::numeric_limits<PortId>::min()});
-         it != out.flow_finish.end() && it->first.coflow == req.coflow; ++it) {
-      d.flow_finish.emplace_back(it->first, it->second);
-    }
-    memo.Insert(keys[i], std::move(d));
-  }
+  for (const PlanRequest* req : requests) ScheduleOne(*req, out);
   out.reservations = prt_.reservations();
   return out;
 }

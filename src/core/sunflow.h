@@ -51,13 +51,6 @@ struct SunflowConfig {
   /// specific coflow's CCT is not monotone — greedy scheduling anomalies
   /// can shift it either way.
   Time demand_quantum = 0;
-  /// Reuse memoized plans across identical replans (core/plan_memo.h):
-  /// when a ScheduleAll call's priority-ordered request prefix hashes
-  /// equal to one already planned under the same config and established
-  /// circuits, the stored reservations are spliced verbatim instead of
-  /// re-derived. Output is byte-identical either way; disable to force
-  /// every replan through the planner (e.g. when benchmarking it).
-  bool plan_reuse = true;
   /// The switch planes the planner may assign circuits to (core/fabric.h).
   /// Empty (the default) means one plane inheriting (delta, bandwidth)
   /// from this config — the classic single-switch fabric, byte-identical
@@ -88,19 +81,10 @@ struct SunflowSchedule {
   /// All reservations, in the order they were created.
   std::vector<CircuitReservation> reservations;
 
-  /// Plan-memo accounting for this call: how many of the requests were
-  /// answered by splicing a memoized prefix (`memo_hits`) out of how many
-  /// the memo was consulted for (`memo_lookups`, == the request count on
-  /// the memo path, 0 when the memo was ineligible). Mirrors the
-  /// plan.cache_hits/misses counters, but per-plan so the timeline
-  /// sampler can chart the hit rate over sim time.
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_lookups = 0;
-
   /// Independent planning groups this call handed to the thread pool
   /// (ScheduleRequestsParallel) — the pool occupancy the replan offered.
-  /// 0 on the serial path, so like the memo fields it is thread-count-
-  /// dependent telemetry, not part of the deterministic plan.
+  /// 0 on the serial path, so it is thread-count-dependent telemetry,
+  /// not part of the deterministic plan.
   std::uint64_t parallel_groups = 0;
 
   Time MaxCompletion() const;
@@ -123,15 +107,6 @@ struct PlanRequest {
   /// Builds a request from a whole coflow (all bytes remaining).
   static PlanRequest FromCoflow(const Coflow& coflow, Bandwidth bandwidth,
                                 std::optional<Time> start = std::nullopt);
-
-  // Memoized Ordered() view (quantized + permuted demand), filled lazily
-  // by the planner and keyed by a hash of (config, coflow, demand), so a
-  // coflow replanned with unchanged demand skips the per-replan copy and
-  // sort. The key covers the demand bytes, so mutating `demand` in place
-  // invalidates the cache automatically. The cache is per-object shared
-  // state: do not hand one PlanRequest to concurrent planners.
-  mutable std::vector<FlowDemand> ordered_cache;
-  mutable std::uint64_t ordered_cache_key = 0;
 };
 
 class SunflowPlanner {
@@ -157,9 +132,8 @@ class SunflowPlanner {
   /// first and therefore never blocked by later ones.
   SunflowSchedule ScheduleAll(const std::vector<PlanRequest>& requests);
 
-  /// As above, via pointers: lets a caller keep long-lived PlanRequest
-  /// objects (with warm Ordered() caches) and hand them to a fresh planner
-  /// on every replan without copying demand vectors.
+  /// As above, via pointers: lets a caller plan a subset of its requests
+  /// (e.g. one port-disjoint group) without copying demand vectors.
   SunflowSchedule ScheduleAll(const std::vector<const PlanRequest*>& requests);
 
   /// Declares circuits already up at plan start (replay carry-over).
@@ -193,7 +167,7 @@ class SunflowPlanner {
   void SetTraceSink(obs::TraceSink* sink) { sink_ = sink; }
   obs::TraceSink* trace_sink() const { return sink_; }
 
-  const PortReservationTable& prt() const { return prt_; }
+  const FabricReservationTable& prt() const { return prt_; }
   const SunflowConfig& config() const { return config_; }
 
   /// The effective plane list: config().fabric.planes, or the implicit
@@ -219,12 +193,13 @@ class SunflowPlanner {
   }
 
  private:
-  const std::vector<FlowDemand>& Ordered(const PlanRequest& request) const;
+  /// The request's demand, quantized and permuted per config().order.
+  std::vector<FlowDemand> Ordered(const PlanRequest& request) const;
   /// Maps the earliest pending wakeup onto the exact instant the legacy
   /// release-chain walk would visit next (see docs/engine.md).
   Time NextWakeInstant(Time t, Time wake, CoflowId coflow) const;
 
-  PortReservationTable prt_;
+  FabricReservationTable prt_;
   SunflowConfig config_;
   std::vector<PlaneSpec> planes_;
   /// Canonical-demand scale per plane: bandwidth / planes_[p].rate. A

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -167,74 +165,12 @@ void DrainEqualShare(std::vector<std::pair<SimCoflow*, Bytes*>>& flows,
   }
 }
 
-// Long-lived PlanRequest objects, one per coflow, reused across replans.
-// A coflow whose remaining demand is unchanged since the previous replan
-// keeps its request object — and with it the memoized Ordered() view, so
-// the planner skips the per-replan demand copy and sort. Only `start` is
-// refreshed; a demand change swaps the vector in (which invalidates the
-// Ordered() cache through its content hash). Entries for departed coflows
-// are dropped lazily once the map outgrows the active set.
-class PlanRequestCache {
- public:
-  const PlanRequest* Refresh(const SimCoflow& sc, Bandwidth bandwidth,
-                             Time t) {
-    scratch_.clear();
-    for (const auto& [pair, bytes] : sc.remaining) {
-      if (bytes > kBytesEps)
-        scratch_.push_back({pair.first, pair.second, bytes / bandwidth});
-    }
-    PlanRequest& req = by_coflow_[sc.id];
-    if (req.coflow != sc.id || !SameDemand(req.demand, scratch_)) {
-      req.coflow = sc.id;
-      req.demand = scratch_;
-    }
-    req.start = t;
-    return &req;
-  }
-
-  void PruneTo(std::size_t active_size) {
-    if (by_coflow_.size() <= 2 * active_size + 16) return;
-    std::erase_if(by_coflow_, [this](const auto& kv) {
-      return !keep_.contains(kv.first);
-    });
-  }
-  void NoteActive(CoflowId id) { keep_.insert(id); }
-  void BeginReplan() { keep_.clear(); }
-
- private:
-  static bool SameDemand(const std::vector<FlowDemand>& a,
-                         const std::vector<FlowDemand>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].src != b[i].src || a[i].dst != b[i].dst ||
-          a[i].processing != b[i].processing) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  std::map<CoflowId, PlanRequest> by_coflow_;
-  std::set<CoflowId> keep_;
-  std::vector<FlowDemand> scratch_;
-};
-
-// InterCoflow over the active set in policy order: builds views, orders,
-// plans on a fresh PRT (optionally seeded with carried-over circuits) and
-// reports the replan through the driver. With a pool, port-disjoint groups
-// of the active set plan concurrently (byte-identical output; the planner
-// here never carries a sink — the driver is the sole emitter — so the
-// parallel path's no-observer precondition always holds).
-SunflowSchedule PlanActiveSet(ReplayDriver& driver,
-                              const PriorityPolicy& policy,
-                              const SunflowConfig& config,
-                              const FabricEstablished* established, Time t,
-                              PlanRequestCache& cache,
-                              runtime::ThreadPool* pool) {
-  SimState& s = driver.state();
-  auto& active = s.active();
-  const Bandwidth bandwidth = config.bandwidth;
-
+// The active set's remaining demand as plan requests starting at the
+// replan instant `t`, in the policy's priority order.
+std::vector<PlanRequest> PriorityOrderedRequests(const SimState& s,
+                                                 const PriorityPolicy& policy,
+                                                 Bandwidth bandwidth, Time t) {
+  const auto& active = s.active();
   std::vector<CoflowView> views;
   views.reserve(active.size());
   for (const auto& sc : active) {
@@ -246,21 +182,50 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   const std::vector<std::size_t> order = policy.Order(views);
   SUNFLOW_CHECK(order.size() == active.size());
 
+  std::vector<PlanRequest> requests(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const SimCoflow& sc = active[order[i]];
+    PlanRequest& req = requests[i];
+    req.coflow = sc.id;
+    req.start = t;
+    for (const auto& [pair, bytes] : sc.remaining) {
+      if (bytes > kBytesEps)
+        req.demand.push_back({pair.first, pair.second, bytes / bandwidth});
+    }
+  }
+  return requests;
+}
+
+std::vector<const PlanRequest*> Pointers(
+    const std::vector<PlanRequest>& requests) {
+  std::vector<const PlanRequest*> out;
+  out.reserve(requests.size());
+  for (const PlanRequest& req : requests) out.push_back(&req);
+  return out;
+}
+
+// InterCoflow over the active set in policy order: builds views, orders,
+// plans on a fresh PRT (optionally seeded with carried-over circuits) and
+// reports the replan through the driver. With a pool, port-disjoint groups
+// of the active set plan concurrently (byte-identical output; the planner
+// here never carries a sink — the driver is the sole emitter — so the
+// parallel path's no-observer precondition always holds).
+SunflowSchedule PlanActiveSet(ReplayDriver& driver,
+                              const PriorityPolicy& policy,
+                              const SunflowConfig& config,
+                              const FabricEstablished* established, Time t,
+                              runtime::ThreadPool* pool) {
+  SimState& s = driver.state();
+  const std::vector<PlanRequest> owned =
+      PriorityOrderedRequests(s, policy, config.bandwidth, t);
+  const std::vector<const PlanRequest*> requests = Pointers(owned);
+
   SunflowPlanner planner(s.num_ports(), config);
   if (established != nullptr && AnyEstablished(*established)) {
     SUNFLOW_CHECK(static_cast<int>(established->size()) ==
                   planner.num_planes());
     planner.SetEstablishedCircuitsByPlane(*established, t);
   }
-  cache.BeginReplan();
-  std::vector<const PlanRequest*> requests;
-  requests.reserve(active.size());
-  for (std::size_t idx : order) {
-    const SimCoflow& sc = active[idx];
-    requests.push_back(cache.Refresh(sc, bandwidth, t));
-    cache.NoteActive(sc.id);
-  }
-  cache.PruneTo(active.size());
   const auto plan_begin = std::chrono::steady_clock::now();
   SunflowSchedule plan = ScheduleRequestsParallel(planner, requests, pool);
   const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -306,7 +271,7 @@ class CircuitScenario final : public ScenarioPolicy {
     SunflowSchedule plan = PlanActiveSet(
         driver, policy_, config_.sunflow,
         config_.carry_over_circuits ? &established_ : nullptr, t,
-        request_cache_, config_.plan_pool);
+        config_.plan_pool);
     last_plan_ = t;
 
     // Next event: a release or the earliest planned completion. A release
@@ -359,7 +324,6 @@ class CircuitScenario final : public ScenarioPolicy {
   CompletionHook hook_;
   std::vector<Bandwidth> plane_rates_;
   FabricEstablished established_;  // carry-over per plane
-  PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_plan_ = -kTimeInf;
 };
@@ -406,27 +370,9 @@ class KCorePerCoreScenario final : public ScenarioPolicy {
     auto& active = s.active();
     const Bandwidth bandwidth = config_.sunflow.bandwidth;
 
-    // Priority order + long-lived requests, exactly as in PlanActiveSet.
-    std::vector<CoflowView> views;
-    views.reserve(active.size());
-    for (const auto& sc : active) {
-      const Bytes remaining_bytes = sc.remaining_bytes();
-      views.push_back({sc.id, sc.arrival, sc.RemainingTpl(bandwidth),
-                       sc.static_tpl, remaining_bytes, sc.remaining.size(),
-                       std::max(0.0, sc.total - remaining_bytes)});
-    }
-    const std::vector<std::size_t> order = policy_.Order(views);
-    SUNFLOW_CHECK(order.size() == active.size());
-
-    request_cache_.BeginReplan();
-    std::vector<const PlanRequest*> requests;
-    requests.reserve(active.size());
-    for (std::size_t idx : order) {
-      const SimCoflow& sc = active[idx];
-      requests.push_back(request_cache_.Refresh(sc, bandwidth, t));
-      request_cache_.NoteActive(sc.id);
-    }
-    request_cache_.PruneTo(active.size());
+    const std::vector<PlanRequest> owned =
+        PriorityOrderedRequests(s, policy_, bandwidth, t);
+    const std::vector<const PlanRequest*> requests = Pointers(owned);
 
     const auto plan_begin = std::chrono::steady_clock::now();
     const KCoreAssignment assignment =
@@ -460,8 +406,6 @@ class KCorePerCoreScenario final : public ScenarioPolicy {
       plan.completion_time.merge(core_plan.completion_time);
       plan.reservation_count.merge(core_plan.reservation_count);
       plan.flow_finish.merge(core_plan.flow_finish);
-      plan.memo_hits += core_plan.memo_hits;
-      plan.memo_lookups += core_plan.memo_lookups;
       // Per-core plans run back to back; peak pool occupancy is the
       // widest single core's group fan-out, not the sum.
       plan.parallel_groups =
@@ -516,7 +460,6 @@ class KCorePerCoreScenario final : public ScenarioPolicy {
   std::vector<PlaneSpec> planes_;
   std::vector<Bandwidth> rates_;
   FabricEstablished established_;  // carry-over per plane
-  PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_plan_ = -kTimeInf;
 };
@@ -560,7 +503,7 @@ class GuardScenario final : public ScenarioPolicy {
       // (no carry-over, no throttle — each span replans from scratch). ---
       SunflowSchedule plan =
           PlanActiveSet(driver, policy_, config_.sunflow, nullptr, t,
-                        request_cache_, config_.plan_pool);
+                        config_.plan_pool);
 
       Time t_next = std::min(span_end, t_arrival);
       for (const auto& sc : active)
@@ -629,7 +572,6 @@ class GuardScenario final : public ScenarioPolicy {
   StarvationGuardTimeline timeline_;
   PhiAssignments phi_;
   std::vector<Bandwidth> plane_rates_;
-  PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_traced_tau_ = -kTimeInf;
 };

@@ -89,6 +89,8 @@ Trace ParseCoflowBenchmark(std::istream& in, const std::string& source) {
       }
       if (rack < 1 || rack > trace.num_ports)
         Fail(source, line_no, "bad reducer rack");
+      if (!std::isfinite(mb))
+        Fail(source, line_no, "non-finite reducer size '" + tok + "'");
       if (mb <= 0) Fail(source, line_no, "non-positive reducer size");
       const PortId dst = static_cast<PortId>(rack - 1);
       const Bytes per_mapper = MB(mb) / num_mappers;

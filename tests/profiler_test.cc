@@ -1,6 +1,7 @@
 // Locks in the phase-profiler contract (obs/profiler.h): nested-scope
 // attribution, the sharded merge's thread-count invariance, the disabled
-// fast path, and the run-manifest JSON round trip built on obs/json.h.
+// fast path, self-time partitioning over a real replay, and the
+// run-manifest JSON round trip built on obs/json.h.
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -10,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/thread_pool.h"
+#include "sim/engine/scenario.h"
+#include "trace/generator.h"
 
 namespace sunflow::obs {
 namespace {
@@ -156,6 +160,34 @@ TEST(ProfilerTest, RecordNsOverlaysExternallyTimedPhases) {
   EXPECT_DOUBLE_EQ(stats->total_ns, 2000.0);
   EXPECT_DOUBLE_EQ(stats->self_ns, 2000.0);
   EXPECT_DOUBLE_EQ(stats->max_ns, 1500.0);
+}
+
+// Self times are exclusive, so over one serial circuit replay the phases
+// partition the enclosing engine.replay scope: their self times sum to at
+// most its inclusive total. An externally timed overlay of work already
+// inside a scope (RecordNs of planning time, say) would count it twice.
+TEST(ProfilerTest, ReplaySelfTimesSumWithinReplayTotal) {
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 40;
+  cfg.num_ports = 24;
+  cfg.seed = 7;
+  const Trace trace = GenerateSyntheticTrace(cfg);
+  const auto policy = MakeShortestFirstPolicy();
+
+  GlobalProfiler().Reset();
+  const engine::EngineResult result = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), engine::EngineConfig{});
+  ASSERT_GT(result.replans, 0u);
+
+  const Profiler merged = GlobalProfiler().Merged();
+  const PhaseStats* replay = merged.FindPhase("engine.replay");
+  ASSERT_NE(replay, nullptr);
+  EXPECT_EQ(replay->count, 1u);
+  double self_sum = 0;
+  for (const ProfileRow& row : merged.Rows()) self_sum += row.stats.self_ns;
+  EXPECT_LE(self_sum, replay->total_ns)
+      << "phase self times exceed the replay wall time by "
+      << (self_sum / replay->total_ns - 1) * 100 << "%";
 }
 
 TEST(ProfilerTest, MergeFromIsCommutative) {

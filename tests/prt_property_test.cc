@@ -1,4 +1,4 @@
-// Property test for the flat-timeline PortReservationTable: a randomized
+// Property test for the flat-timeline FabricReservationTable: a randomized
 // workload (>10k reservations) cross-checked against a brute-force O(n)
 // oracle that re-derives every probe from first principles. The probe
 // schedule is adversarial on two axes: times sit on and within ±2ε of
@@ -40,7 +40,7 @@ class Oracle {
     return BusyUntil(out_, j, t);
   }
 
-  PortReservationTable::NextReservation NextReservationAfter(PortId in,
+  FabricReservationTable::NextReservation NextReservationAfter(PortId in,
                                                              PortId out,
                                                              Time t) const {
     const auto a = NextStartAfter(in_, in, t);
@@ -88,9 +88,9 @@ class Oracle {
     return t;
   }
 
-  static PortReservationTable::NextReservation NextStartAfter(
+  static FabricReservationTable::NextReservation NextStartAfter(
       const Slots& side, PortId p, Time t) {
-    PortReservationTable::NextReservation best;
+    FabricReservationTable::NextReservation best;
     for (const auto& [s, e] : side[static_cast<std::size_t>(p)]) {
       if (s > t && s < best.start) best = {s, e};
     }
@@ -114,7 +114,7 @@ class Workload {
   // historical times, where overlap rejections are expected and
   // mid-vector insertion is exercised. The frontier persists across
   // calls so incremental fills stay productive.
-  void Fill(PortReservationTable& prt, Oracle& oracle, int target) {
+  void Fill(FabricReservationTable& prt, Oracle& oracle, int target) {
     std::vector<Time>& frontier = frontier_;
     int accepted = 0;
     int attempts = 0;
@@ -177,7 +177,7 @@ class Workload {
   std::vector<Time> frontier_;
 };
 
-void CheckProbe(const PortReservationTable& prt, const Oracle& oracle,
+void CheckProbe(const FabricReservationTable& prt, const Oracle& oracle,
                 PortId in, PortId out, Time t) {
   EXPECT_EQ(prt.InputFreeAt(in, t), oracle.InputFreeAt(in, t)) << "t=" << t;
   EXPECT_EQ(prt.OutputFreeAt(out, t), oracle.OutputFreeAt(out, t))
@@ -202,7 +202,7 @@ void CheckProbe(const PortReservationTable& prt, const Oracle& oracle,
 TEST(PrtProperty, MatchesBruteForceOracleOnAdversarialProbes) {
   constexpr PortId kPorts = 12;
   constexpr int kReservations = 12000;
-  PortReservationTable prt(kPorts);
+  FabricReservationTable prt(kPorts);
   Oracle oracle(kPorts);
   Workload workload(/*seed=*/20161212, kPorts);
   workload.Fill(prt, oracle, kReservations);
@@ -234,7 +234,7 @@ TEST(PrtProperty, MatchesBruteForceOracleOnAdversarialProbes) {
 // the two ends of the horizon.
 TEST(PrtProperty, CursorSurvivesBackwardAndRepeatedProbes) {
   constexpr PortId kPorts = 6;
-  PortReservationTable prt(kPorts);
+  FabricReservationTable prt(kPorts);
   Oracle oracle(kPorts);
   Workload workload(/*seed=*/7, kPorts);
   workload.Fill(prt, oracle, 2000);
@@ -495,7 +495,7 @@ TEST(PrtProperty, PlaneExclusivityAndPerPlaneCursorReseat) {
 // mid-vector insertion (slots shifting under a live cursor).
 TEST(PrtProperty, ProbesInterleavedWithInserts) {
   constexpr PortId kPorts = 8;
-  PortReservationTable prt(kPorts);
+  FabricReservationTable prt(kPorts);
   Oracle oracle(kPorts);
   Workload workload(/*seed=*/99, kPorts);
   Rng& rng = workload.rng();

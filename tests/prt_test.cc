@@ -13,7 +13,7 @@ CircuitReservation Res(PortId in, PortId out, Time start, Time end,
 }
 
 TEST(Prt, FreshPortsAreFree) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   EXPECT_TRUE(prt.InputFreeAt(0, 0.0));
   EXPECT_TRUE(prt.OutputFreeAt(3, 100.0));
   EXPECT_EQ(prt.NextReservationStartAfter(0, 1, 0.0), kTimeInf);
@@ -21,7 +21,7 @@ TEST(Prt, FreshPortsAreFree) {
 }
 
 TEST(Prt, ReservationOccupiesBothPorts) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 1.0, 2.0));
   EXPECT_FALSE(prt.InputFreeAt(0, 1.5));
   EXPECT_FALSE(prt.OutputFreeAt(1, 1.5));
@@ -30,7 +30,7 @@ TEST(Prt, ReservationOccupiesBothPorts) {
 }
 
 TEST(Prt, HalfOpenIntervals) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 1.0, 2.0));
   EXPECT_TRUE(prt.InputFreeAt(0, 0.999999));
   EXPECT_FALSE(prt.InputFreeAt(0, 1.0));  // busy at start
@@ -38,7 +38,7 @@ TEST(Prt, HalfOpenIntervals) {
 }
 
 TEST(Prt, NextReservationStart) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 5.0, 6.0));
   prt.Reserve(Res(2, 3, 3.0, 4.0));
   EXPECT_DOUBLE_EQ(prt.NextReservationStartAfter(0, 3, 0.0), 3.0);
@@ -47,7 +47,7 @@ TEST(Prt, NextReservationStart) {
 }
 
 TEST(Prt, NextReleaseAfter) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 0.0, 2.0));
   prt.Reserve(Res(2, 3, 0.0, 1.0));
   EXPECT_DOUBLE_EQ(prt.NextReleaseAfter(0.0), 1.0);
@@ -56,19 +56,19 @@ TEST(Prt, NextReleaseAfter) {
 }
 
 TEST(Prt, RejectsOverlapOnInputPort) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 0.0, 2.0));
   EXPECT_THROW(prt.Reserve(Res(0, 2, 1.0, 3.0)), CheckFailure);
 }
 
 TEST(Prt, RejectsOverlapOnOutputPort) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 0.0, 2.0));
   EXPECT_THROW(prt.Reserve(Res(2, 1, 1.5, 3.0)), CheckFailure);
 }
 
 TEST(Prt, AllowsBackToBackReservations) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 0.0, 2.0));
   prt.Reserve(Res(0, 1, 2.0, 4.0));  // starts exactly at previous end
   prt.CheckInvariants();
@@ -76,7 +76,7 @@ TEST(Prt, AllowsBackToBackReservations) {
 }
 
 TEST(Prt, RejectsEmptyAndMalformed) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   EXPECT_THROW(prt.Reserve(Res(0, 1, 2.0, 2.0)), CheckFailure);
   EXPECT_THROW(prt.Reserve(Res(0, 1, 2.0, 1.0)), CheckFailure);
   // setup longer than the reservation
@@ -86,7 +86,7 @@ TEST(Prt, RejectsEmptyAndMalformed) {
 }
 
 TEST(Prt, TimelinesSorted) {
-  PortReservationTable prt(4);
+  FabricReservationTable prt(4);
   prt.Reserve(Res(0, 1, 4.0, 5.0));
   prt.Reserve(Res(0, 2, 0.0, 1.0));
   prt.Reserve(Res(0, 3, 2.0, 3.0));
@@ -102,7 +102,7 @@ TEST(Prt, TimelinesSorted) {
 TEST(Prt, RandomizedInvariants) {
   Rng rng(21);
   for (int trial = 0; trial < 20; ++trial) {
-    PortReservationTable prt(6);
+    FabricReservationTable prt(6);
     int accepted = 0;
     for (int k = 0; k < 100; ++k) {
       const PortId in = static_cast<PortId>(rng.UniformInt(0, 5));

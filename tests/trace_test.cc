@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/assert.h"
 #include "exp/classify.h"
@@ -381,6 +382,28 @@ TEST(Parser, RejectsNegativeReducerSize) {
       "4 1\n"
       "1 0 1 1 1 2:-5\n");
   EXPECT_THROW(ParseCoflowBenchmark(in), std::runtime_error);
+}
+
+// std::stod accepts "inf" and "nan"; both must fail as located parse
+// errors rather than planning an infinite CCT or tripping a Coflow CHECK.
+TEST(Parser, RejectsNonFiniteReducerSize) {
+  for (const std::string size : {"inf", "nan", "-inf", "INF", "NaN"}) {
+    std::istringstream in(
+        "4 2\n"
+        "1 0 1 1 1 2:1\n"
+        "2 5 1 3 1 4:" + size + "\n");
+    try {
+      ParseCoflowBenchmark(in, "sizes.txt");
+      FAIL() << "reducer size " << size << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("parse error in sizes.txt at line 3"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("non-finite reducer size"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Parser, RejectsDuplicateCoflowIds) {
