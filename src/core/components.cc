@@ -1,11 +1,9 @@
 #include "core/components.h"
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <set>
-#include <utility>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -35,136 +33,6 @@ class UnionFind {
 };
 
 }  // namespace
-
-std::vector<PlanRequest> SplitByPortComponents(const PlanRequest& request) {
-  if (request.demand.empty()) return {};
-  // Map ports to union-find ids: inputs then outputs.
-  std::map<PortId, std::size_t> in_id, out_id;
-  for (const FlowDemand& f : request.demand) {
-    in_id.emplace(f.src, 0);
-    out_id.emplace(f.dst, 0);
-  }
-  std::size_t next = 0;
-  for (auto& [port, id] : in_id) id = next++;
-  for (auto& [port, id] : out_id) id = next++;
-
-  UnionFind uf(next);
-  for (const FlowDemand& f : request.demand)
-    uf.Union(in_id[f.src], out_id[f.dst]);
-
-  std::map<std::size_t, PlanRequest> components;
-  for (const FlowDemand& f : request.demand) {
-    const std::size_t root = uf.Find(in_id[f.src]);
-    PlanRequest& part = components[root];
-    part.coflow = request.coflow;
-    part.start = request.start;
-    part.demand.push_back(f);
-  }
-  std::vector<PlanRequest> out;
-  out.reserve(components.size());
-  for (auto& [root, part] : components) out.push_back(std::move(part));
-  return out;
-}
-
-Time ScheduleComponentsParallel(SunflowPlanner& planner,
-                                const PlanRequest& request,
-                                SunflowSchedule& out,
-                                runtime::ThreadPool* pool) {
-  const auto parts = SplitByPortComponents(request);
-  if (parts.empty()) {
-    out.completion_time[request.coflow] = 0;
-    return request.start;
-  }
-
-  struct ComponentPlan {
-    Time finish = 0;
-    SunflowSchedule schedule;
-    std::vector<CircuitReservation> new_reservations;
-  };
-
-  const std::size_t base = planner.prt().reservations().size();
-  auto plan_one = [&](const PlanRequest& part) {
-    // A copy carries every existing reservation, so this component is
-    // constrained exactly as it would be on the shared table; it cannot
-    // see (or collide with) sibling components, which share no ports.
-    SunflowPlanner worker = planner;
-    // Callbacks must not fire from worker threads; the merge below streams
-    // the final reservations through the target planner's callback.
-    worker.SetReservationCallback(nullptr);
-    ComponentPlan result;
-    result.finish = worker.ScheduleOne(part, result.schedule);
-    const auto& all = worker.prt().reservations();
-    result.new_reservations.assign(
-        all.begin() + static_cast<std::ptrdiff_t>(base), all.end());
-    return result;
-  };
-
-  // One task per component on the shared pool (replacing the old bounded
-  // std::async fan-out); task i always plans component i, so the plans
-  // vector is identical at any pool size. A null/serial pool runs the
-  // components in index order on the caller.
-  std::vector<ComponentPlan> plans(parts.size());
-  if (pool != nullptr && pool->size() > 1 && parts.size() > 1) {
-    pool->ParallelFor(0, parts.size(),
-                      [&](std::size_t i) { plans[i] = plan_one(parts[i]); });
-  } else {
-    for (std::size_t i = 0; i < parts.size(); ++i)
-      plans[i] = plan_one(parts[i]);
-  }
-
-  // Deterministic merge: global start order, ties broken by (component id,
-  // creation index). The old start-only sort left tie order to the sort
-  // implementation; keying on the component id pins the merged stream so
-  // reservations() is byte-identical run to run and pool size to pool
-  // size.
-  struct Tagged {
-    const CircuitReservation* r;
-    std::size_t component;
-    std::size_t index;
-  };
-  std::vector<Tagged> tagged;
-  for (std::size_t c = 0; c < plans.size(); ++c) {
-    for (std::size_t k = 0; k < plans[c].new_reservations.size(); ++k)
-      tagged.push_back({&plans[c].new_reservations[k], c, k});
-  }
-  std::sort(tagged.begin(), tagged.end(), [](const Tagged& a, const Tagged& b) {
-    if (a.r->start != b.r->start) return a.r->start < b.r->start;
-    if (a.component != b.component) return a.component < b.component;
-    return a.index < b.index;
-  });
-  std::vector<CircuitReservation> merged;
-  merged.reserve(tagged.size());
-  for (const Tagged& tr : tagged) merged.push_back(*tr.r);
-  planner.ImportReservations(merged);
-
-  Time finish = request.start;
-  int reservations_made = 0;
-  for (const auto& p : plans) {
-    finish = std::max(finish, p.finish);
-    for (const auto& [key, t] : p.schedule.flow_finish)
-      out.flow_finish[key] = t;
-    auto it = p.schedule.reservation_count.find(request.coflow);
-    if (it != p.schedule.reservation_count.end())
-      reservations_made += it->second;
-  }
-  out.completion_time[request.coflow] = finish - request.start;
-  out.reservation_count[request.coflow] += reservations_made;
-  return finish;
-}
-
-Time SchedulePerComponent(SunflowPlanner& planner, const PlanRequest& request,
-                          SunflowSchedule& out) {
-  const auto parts = SplitByPortComponents(request);
-  Time finish = request.start;
-  // Components touch disjoint ports, so they compose on the PRT without
-  // interaction; per-component completion_time entries would overwrite
-  // each other, so track the true maximum explicitly.
-  for (const PlanRequest& part : parts) {
-    finish = std::max(finish, planner.ScheduleOne(part, out));
-  }
-  out.completion_time[request.coflow] = finish - request.start;
-  return finish;
-}
 
 SunflowSchedule ScheduleRequestsParallel(
     SunflowPlanner& planner, const std::vector<const PlanRequest*>& requests,

@@ -1,15 +1,11 @@
-// Port-connected-component decomposition of a demand set (§6's
-// parallelization note).
+// Port-disjoint request groups (§6's parallelization note).
 //
 // §6 suggests reducing scheduler latency "by computing circuit schedules
 // on partitioned demands in parallel" at some cost in optimality. One
-// partitioning is *free*: flows whose port sets are disjoint can never
-// constrain each other on the PRT, so the connected components of the
-// coflow's bipartite port graph can be planned independently (and in
-// parallel) with exactly the same resulting schedule. The same argument
-// lifts to whole *request sets*: coflows whose port footprints are
-// disjoint form groups that an InterCoflow replan can plan concurrently
-// (ScheduleRequestsParallel below) with a deterministic merge.
+// partitioning is *free*: coflows whose port footprints are disjoint can
+// never constrain each other on the PRT, so an InterCoflow replan can plan
+// such groups concurrently (ScheduleRequestsParallel below) and merge them
+// deterministically into exactly the serial schedule.
 #pragma once
 
 #include <vector>
@@ -21,31 +17,6 @@ class ThreadPool;
 }  // namespace sunflow::runtime
 
 namespace sunflow {
-
-/// Splits the request's demand into connected components of the bipartite
-/// (input-port, output-port) graph. The union of the returned requests is
-/// the input; components share no ports.
-std::vector<PlanRequest> SplitByPortComponents(const PlanRequest& request);
-
-/// Plans each component on `planner` (sequentially; components are
-/// independent so any order — or a thread pool — yields the same PRT).
-/// Equivalent to planner.ScheduleOne(request, out) when the PRT has no
-/// prior reservations touching the request's ports.
-Time SchedulePerComponent(SunflowPlanner& planner, const PlanRequest& request,
-                          SunflowSchedule& out);
-
-/// The actually-parallel version (§6): each component is planned on
-/// `pool` (runtime/thread_pool.h) against a *copy* of the planner's
-/// current state (so existing higher-priority reservations constrain
-/// every component identically), then the new reservations merge back in
-/// deterministic (start, component id, creation index) order. Components
-/// never share ports, so the merge cannot conflict and the resulting PRT
-/// is identical to sequential planning regardless of pool size. A null
-/// pool (or size <= 1) plans serially — the reference schedule.
-Time ScheduleComponentsParallel(SunflowPlanner& planner,
-                                const PlanRequest& request,
-                                SunflowSchedule& out,
-                                runtime::ThreadPool* pool = nullptr);
 
 /// Intra-replan parallel InterCoflow: partitions `requests` (already in
 /// priority order) into port-disjoint groups via union-find over their

@@ -4,8 +4,8 @@
 #include "core/policy.h"
 #include "obs/metrics.h"
 #include "runtime/sweep.h"
-#include "sched/executor.h"
 #include "sim/engine/scenario.h"
+#include "sim/engine/slot_executor.h"
 #include "trace/bounds.h"
 #include "trace/demand_matrix.h"
 
@@ -113,11 +113,11 @@ void RunBaselineOne(const Coflow& coflow, IntraAlgorithm algorithm,
     case IntraAlgorithm::kSunflow:
       SUNFLOW_CHECK(false);
   }
-  const ExecutionResult exec =
-      config.all_stop ? ExecuteAllStop(demand, schedule, config.delta,
-                                       /*start=*/0, sink, coflow.id())
-                      : ExecuteNotAllStop(demand, schedule, config.delta,
-                                          /*start=*/0, sink, coflow.id());
+  const ExecutionResult exec = engine::ExecuteAssignmentSchedule(
+      demand, schedule, config.delta, /*start=*/0,
+      config.all_stop ? engine::SwitchModel::kAllStop
+                      : engine::SwitchModel::kNotAllStop,
+      sink, coflow.id());
   rec.cct = exec.cct;
   rec.switching_count = exec.circuit_setups;
 }

@@ -10,9 +10,8 @@
 // baseline the joint plane-aware planner (core/sunflow.cc) is compared
 // against.
 //
-// Header-only by design: the engine consumes sched only through headers
-// (sunflow_sched links sunflow_engine back, so the engine library must not
-// need sched symbols at link time — see src/sim/engine/CMakeLists.txt).
+// Header-only by design: the engine consumes sched only through headers,
+// so sunflow_engine does not link sunflow_sched.
 #pragma once
 
 #include <algorithm>

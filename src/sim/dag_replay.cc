@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/assert.h"
-#include "sim/adapter_util.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
 
@@ -90,7 +89,7 @@ std::unique_ptr<PriorityPolicy> MakeStagePolicy(
 
 DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
                                const PriorityPolicy& policy,
-                               const CircuitReplayConfig& config) {
+                               const engine::EngineConfig& config) {
   trace.Validate();
   dag.StageOf(trace);  // validates ids + acyclicity
 
@@ -107,7 +106,7 @@ DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
 
   // Gated coflows enter the kernel's release queue when their last
   // dependency completes; the rest are seeded up front.
-  engine::ReplayDriver driver(trace.num_ports, config.sink);
+  engine::ReplayDriver driver(trace.num_ports, config.sink, config.timeline);
   std::size_t initial = 0;
   for (const Coflow& c : trace.coflows) {
     if (unmet.find(c.id()) == unmet.end()) {
@@ -131,8 +130,8 @@ DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
     }
   };
 
-  auto scenario = engine::MakeCircuitScenario(
-      trace.num_ports, policy, sim_detail::ToEngineConfig(config), hook);
+  auto scenario =
+      engine::MakeCircuitScenario(trace.num_ports, policy, config, hook);
   const engine::EngineResult engine_result = driver.Run(*scenario);
   SUNFLOW_CHECK_MSG(engine_result.cct.size() == trace.coflows.size(),
                     "DAG replay finished with unreleased coflows");

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/policy.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 
 namespace sunflow {
 
@@ -53,9 +53,10 @@ struct DagReplayResult {
 };
 
 /// Replays the trace with dependency gating: a coflow is released at
-/// max(its arrival, completion of all dependencies).
+/// max(its arrival, completion of all dependencies). `config` is read as
+/// by the "circuit" scenario.
 DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
                                const PriorityPolicy& policy,
-                               const CircuitReplayConfig& config);
+                               const engine::EngineConfig& config);
 
 }  // namespace sunflow

@@ -98,10 +98,10 @@ ExecutionResult Finalize(DemandTracker& tracker,
   return result;
 }
 
-ExecutionResult ExecuteNotAllStopImpl(const DemandMatrix& demand,
-                                      const AssignmentSchedule& schedule,
-                                      Time delta, Time start,
-                                      obs::TraceSink* sink, CoflowId coflow) {
+ExecutionResult RunNotAllStop(const DemandMatrix& demand,
+                              const AssignmentSchedule& schedule, Time delta,
+                              Time start, obs::TraceSink* sink,
+                              CoflowId coflow) {
   const int n = demand.rows();
 
   DemandTracker tracker(demand);
@@ -159,10 +159,10 @@ ExecutionResult ExecuteNotAllStopImpl(const DemandMatrix& demand,
                   std::move(completions), setups);
 }
 
-ExecutionResult ExecuteAllStopImpl(const DemandMatrix& demand,
-                                   const AssignmentSchedule& schedule,
-                                   Time delta, Time start,
-                                   obs::TraceSink* sink, CoflowId coflow) {
+ExecutionResult RunAllStop(const DemandMatrix& demand,
+                           const AssignmentSchedule& schedule, Time delta,
+                           Time start, obs::TraceSink* sink,
+                           CoflowId coflow) {
   const int n = demand.rows();
 
   DemandTracker tracker(demand);
@@ -222,10 +222,9 @@ ExecutionResult ExecuteAssignmentSchedule(const DemandMatrix& demand,
   SUNFLOW_CHECK(delta >= 0);
   switch (model) {
     case SwitchModel::kNotAllStop:
-      return ExecuteNotAllStopImpl(demand, schedule, delta, start, sink,
-                                   coflow);
+      return RunNotAllStop(demand, schedule, delta, start, sink, coflow);
     case SwitchModel::kAllStop:
-      return ExecuteAllStopImpl(demand, schedule, delta, start, sink, coflow);
+      return RunAllStop(demand, schedule, delta, start, sink, coflow);
   }
   SUNFLOW_CHECK_MSG(false, "unknown switch model");
   return {};

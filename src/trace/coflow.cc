@@ -1,6 +1,7 @@
 #include "trace/coflow.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -27,7 +28,9 @@ Coflow::Coflow(CoflowId id, Time arrival, std::vector<Flow> flows)
   for (const Flow& f : flows_) {
     SUNFLOW_CHECK_MSG(f.src >= 0 && f.dst >= 0,
                       "negative port in coflow " << id_);
-    SUNFLOW_CHECK_MSG(f.bytes > 0, "non-positive flow size in coflow " << id_);
+    SUNFLOW_CHECK_MSG(std::isfinite(f.bytes) && f.bytes > 0,
+                      "non-positive or non-finite flow size in coflow "
+                          << id_);
     SUNFLOW_CHECK_MSG(pairs.insert({f.src, f.dst}).second,
                       "duplicate (src,dst)=(" << f.src << "," << f.dst
                                               << ") in coflow " << id_);
@@ -94,7 +97,8 @@ void Trace::Validate() const {
     SUNFLOW_CHECK_MSG(c.max_port() <= num_ports,
                       c.DebugString() << " references port beyond fabric size "
                                       << num_ports);
-    SUNFLOW_CHECK_MSG(c.arrival() >= 0, "negative arrival");
+    SUNFLOW_CHECK_MSG(std::isfinite(c.arrival()) && c.arrival() >= 0,
+                      "negative or non-finite arrival");
     if (i > 0) {
       SUNFLOW_CHECK_MSG(coflows[i - 1].arrival() <= c.arrival() + kTimeEps,
                         "coflows not sorted by arrival");

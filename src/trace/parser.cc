@@ -53,6 +53,8 @@ Trace ParseCoflowBenchmark(std::istream& in, const std::string& source) {
     int num_mappers = 0;
     if (!(ls >> id >> arrival_ms >> num_mappers) || num_mappers <= 0)
       Fail(source, line_no, "expected '<id> <arrival_ms> <num_mappers> ...'");
+    if (!std::isfinite(arrival_ms) || arrival_ms < 0)
+      Fail(source, line_no, "negative or non-finite arrival");
     if (!seen_ids.insert(static_cast<CoflowId>(id)).second)
       Fail(source, line_no,
            "duplicate coflow id " + std::to_string(id));

@@ -2,18 +2,26 @@
 
 #include "core/policy.h"
 #include "sim/dag_replay.h"
-#include "sim/hybrid_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
 namespace sunflow {
 namespace {
 
-CircuitReplayConfig Config() {
-  CircuitReplayConfig c;
+engine::EngineConfig Config() {
+  engine::EngineConfig c;
   c.sunflow.bandwidth = Gbps(1);
   c.sunflow.delta = Millis(10);
   return c;
+}
+
+engine::EngineResult RunScenario(const std::string& scenario,
+                                 const Trace& trace,
+                                 const PriorityPolicy& policy,
+                                 const engine::EngineConfig& config) {
+  return engine::ScenarioRegistry::Global().Run(scenario, trace, &policy,
+                                                config);
 }
 
 // A two-stage map-reduce-merge job: stage-1 shuffle then a dependent
@@ -141,12 +149,11 @@ TEST(Hybrid, SplitsByThreshold) {
   trace.num_ports = 4;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(5)}}));    // offloaded
   trace.coflows.push_back(Coflow(2, 0.0, {{2, 3, MB(500)}}));  // circuit
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
+  engine::EngineConfig cfg = Config();
   cfg.offload_threshold = MB(10);
   cfg.packet_bandwidth = Gbps(0.1);
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayHybridTrace(trace, *policy, cfg);
+  const auto result = RunScenario("hybrid", trace, *policy, cfg);
   EXPECT_EQ(result.offloaded, 1u);
   EXPECT_EQ(result.circuit, 1u);
   // Offloaded coflow: no δ, but only a tenth of the bandwidth.
@@ -163,12 +170,11 @@ TEST(Hybrid, ShortCoflowsDodgeSetupPenalty) {
     trace.coflows.push_back(Coflow(k + 1, 0.05 * k, {{0, 1, MB(1)}}));
   const auto policy = MakeShortestFirstPolicy();
 
-  const auto pure = ReplayCircuitTrace(trace, *policy, Config());
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
+  const auto pure = RunScenario("circuit", trace, *policy, Config());
+  engine::EngineConfig cfg = Config();
   cfg.offload_threshold = MB(2);
   cfg.packet_bandwidth = Gbps(0.5);
-  const auto hybrid = ReplayHybridTrace(trace, *policy, cfg);
+  const auto hybrid = RunScenario("hybrid", trace, *policy, cfg);
 
   double pure_avg = 0, hybrid_avg = 0;
   for (const auto& [id, cct] : pure.cct) pure_avg += cct;
@@ -182,10 +188,9 @@ TEST(Hybrid, AllCoflowsAccountedFor) {
   tc.num_coflows = 30;
   tc.num_ports = 12;
   const Trace trace = GenerateSyntheticTrace(tc);
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
+  engine::EngineConfig cfg = Config();
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayHybridTrace(trace, *policy, cfg);
+  const auto result = RunScenario("hybrid", trace, *policy, cfg);
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
   EXPECT_EQ(result.offloaded + result.circuit, trace.coflows.size());
 }

@@ -21,9 +21,9 @@
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
-#include "sched/executor.h"
 #include "sched/schedule.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
+#include "sim/engine/slot_executor.h"
 #include "trace/coflow.h"
 #include "trace/demand_matrix.h"
 
@@ -559,8 +559,9 @@ TEST(ObsInstrumentation, ExecutorSetupEventsMatchResultCount) {
   const std::uint64_t metric_before =
       obs::GlobalMetrics().GetCounter("executor.circuit_setups").value();
   MemorySink sink;
-  const auto result = ExecuteNotAllStop(demand, schedule, /*delta=*/0.01,
-                                        /*start=*/0, &sink, /*coflow=*/9);
+  const auto result = engine::ExecuteAssignmentSchedule(
+      demand, schedule, /*delta=*/0.01, /*start=*/0,
+      engine::SwitchModel::kNotAllStop, &sink, /*coflow=*/9);
   EXPECT_EQ(CountDeltaSetups(sink.events()),
             static_cast<std::size_t>(result.circuit_setups));
   EXPECT_EQ(obs::GlobalMetrics().GetCounter("executor.circuit_setups").value(),
@@ -573,8 +574,9 @@ TEST(ObsInstrumentation, ExecutorSetupEventsMatchResultCount) {
   MemorySink all_stop_sink;
   const std::uint64_t before2 =
       obs::GlobalMetrics().GetCounter("executor.circuit_setups").value();
-  const auto all_stop = ExecuteAllStop(demand, schedule, /*delta=*/0.01,
-                                       /*start=*/0, &all_stop_sink, 9);
+  const auto all_stop = engine::ExecuteAssignmentSchedule(
+      demand, schedule, /*delta=*/0.01, /*start=*/0,
+      engine::SwitchModel::kAllStop, &all_stop_sink, /*coflow=*/9);
   EXPECT_EQ(CountDeltaSetups(all_stop_sink.events()),
             static_cast<std::size_t>(all_stop.circuit_setups));
   EXPECT_EQ(obs::GlobalMetrics().GetCounter("executor.circuit_setups").value(),
@@ -588,12 +590,13 @@ TEST(ObsInstrumentation, ReplayEmitsLifecycleEvents) {
   trace.coflows.push_back(Coflow(2, 0.05, {{0, 3, MB(10)}}));
   trace.coflows.push_back(Coflow(3, 0.30, {{1, 2, MB(30)}}));
 
-  CircuitReplayConfig cfg;
+  engine::EngineConfig cfg;
   cfg.sunflow.delta = Millis(10);
   MemorySink sink;
   cfg.sink = &sink;
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, cfg);
+  const auto result = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), cfg);
 
   EXPECT_EQ(sink.CountOf(EventType::kCoflowAdmitted), trace.coflows.size());
   EXPECT_EQ(sink.CountOf(EventType::kCoflowCompleted), trace.coflows.size());
@@ -616,12 +619,14 @@ TEST(ObsInstrumentation, ReplayWithAndWithoutSinkAgree) {
   trace.num_ports = 4;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 2, MB(50)}, {1, 3, MB(20)}}));
   trace.coflows.push_back(Coflow(2, 0.05, {{0, 3, MB(10)}}));
-  CircuitReplayConfig cfg;
+  engine::EngineConfig cfg;
   const auto policy = MakeShortestFirstPolicy();
-  const auto plain = ReplayCircuitTrace(trace, *policy, cfg);
+  const auto plain = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), cfg);
   MemorySink sink;
   cfg.sink = &sink;
-  const auto traced = ReplayCircuitTrace(trace, *policy, cfg);
+  const auto traced = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), cfg);
   EXPECT_EQ(plain.cct, traced.cct);
   EXPECT_EQ(plain.replans, traced.replans);
   EXPECT_NEAR(plain.makespan, traced.makespan, 1e-12);

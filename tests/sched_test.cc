@@ -2,9 +2,9 @@
 
 #include "common/rng.h"
 #include "sched/edmonds.h"
-#include "sched/executor.h"
 #include "sched/solstice.h"
 #include "sched/tms.h"
+#include "sim/engine/slot_executor.h"
 #include "trace/bounds.h"
 #include "trace/demand_matrix.h"
 
@@ -12,6 +12,16 @@ namespace sunflow {
 namespace {
 
 constexpr Time kDelta = 0.01;
+
+using engine::SwitchModel;
+
+ExecutionResult Execute(const DemandMatrix& demand,
+                        const AssignmentSchedule& schedule,
+                        SwitchModel model = SwitchModel::kNotAllStop) {
+  return engine::ExecuteAssignmentSchedule(demand, schedule, kDelta,
+                                           /*start=*/0, model,
+                                           /*sink=*/nullptr, /*coflow=*/-1);
+}
 
 DemandMatrix RandomSquareDemand(Rng& rng, int n, double density = 0.6) {
   std::vector<std::vector<Time>> e(
@@ -32,7 +42,7 @@ DemandMatrix RandomSquareDemand(Rng& rng, int n, double density = 0.6) {
 
 void ExpectCovers(const DemandMatrix& demand, const AssignmentSchedule& s) {
   // The not-all-stop executor throws if any demand is left unserved.
-  const auto exec = ExecuteNotAllStop(demand, s, kDelta);
+  const auto exec = Execute(demand, s);
   EXPECT_GT(exec.cct, 0.0);
   EXPECT_EQ(exec.completions.size(),
             static_cast<std::size_t>(demand.NonZeroCount()));
@@ -52,7 +62,7 @@ TEST(Solstice, SingleEntryMatrixIsOneSlot) {
   const auto schedule = ScheduleSolstice(demand);
   ASSERT_EQ(schedule.num_slots(), 1u);
   EXPECT_NEAR(schedule.slots[0].duration, 2.5, 1e-9);
-  const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule);
   EXPECT_NEAR(exec.cct, kDelta + 2.5, 1e-9);
   EXPECT_EQ(exec.circuit_setups, 1);
 }
@@ -73,7 +83,7 @@ TEST(Solstice, SwitchingGrowsWithSkew) {
   // Skewed demand forces stuffing and more slots than Sunflow's |C|.
   DemandMatrix demand({{5.0, 0.3, 0.0}, {0.0, 4.0, 0.7}, {1.1, 0.0, 2.0}});
   const auto schedule = ScheduleSolstice(demand);
-  const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule);
   EXPECT_GT(exec.circuit_setups, demand.NonZeroCount());
 }
 
@@ -113,7 +123,7 @@ TEST(Executor, NotAllStopCarriesUnchangedCircuits) {
   schedule.slots.push_back({{0, -1}, 1.0});
   schedule.slots.push_back({{0, -1}, 1.0});
   DemandMatrix demand({{2.0, 0.0}, {0.0, 0.0}});
-  const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule);
   EXPECT_EQ(exec.circuit_setups, 1);
   EXPECT_NEAR(exec.cct, kDelta + 2.0, 1e-9);
 }
@@ -125,7 +135,7 @@ TEST(Executor, NotAllStopChargesDeltaOnChange) {
   schedule.slots.push_back({{0, -1}, 1.0});
   schedule.slots.push_back({{1, -1}, 1.0});
   DemandMatrix demand({{1.0, 1.0}, {0.0, 0.0}});
-  const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule);
   EXPECT_EQ(exec.circuit_setups, 2);
   EXPECT_NEAR(exec.cct, 2 * kDelta + 2.0, 1e-9);
 }
@@ -136,7 +146,7 @@ TEST(Executor, NotAllStopPortsProgressIndependently) {
   schedule.algorithm = "test";
   schedule.slots.push_back({{0, 1}, 2.0});
   DemandMatrix demand({{2.0, 0.0}, {0.0, 2.0}});
-  const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule);
   EXPECT_NEAR(exec.cct, kDelta + 2.0, 1e-9);
   EXPECT_EQ(exec.circuit_setups, 2);
 }
@@ -149,7 +159,7 @@ TEST(Executor, AllStopGlobalDelta) {
   schedule.slots.push_back({{0, 1}, 1.0});  // (0->0), (1->1)
   schedule.slots.push_back({{1, 0}, 1.0});  // (0->1), (1->0)
   DemandMatrix demand({{1.0, 1.0}, {1.0, 1.0}});
-  const auto exec = ExecuteAllStop(demand, schedule, kDelta);
+  const auto exec = Execute(demand, schedule, SwitchModel::kAllStop);
   EXPECT_NEAR(exec.cct, 2 * kDelta + 2.0, 1e-9);
   EXPECT_EQ(exec.circuit_setups, 4);
 }
@@ -160,8 +170,8 @@ TEST(Executor, AllStopSlowerOrEqualToNotAllStop) {
     const int n = 2 + static_cast<int>(rng.UniformInt(0, 4));
     const DemandMatrix demand = RandomSquareDemand(rng, n);
     const auto schedule = ScheduleSolstice(demand);
-    const auto fast = ExecuteNotAllStop(demand, schedule, kDelta);
-    const auto slow = ExecuteAllStop(demand, schedule, kDelta);
+    const auto fast = Execute(demand, schedule);
+    const auto slow = Execute(demand, schedule, SwitchModel::kAllStop);
     EXPECT_GE(slow.cct + 1e-9, fast.cct);
   }
 }
@@ -171,7 +181,7 @@ TEST(Executor, ThrowsOnUncoveredDemand) {
   schedule.algorithm = "broken";
   schedule.slots.push_back({{0, -1}, 0.5});  // only half the demand
   DemandMatrix demand({{1.0, 0.0}, {0.0, 0.0}});
-  EXPECT_THROW(ExecuteNotAllStop(demand, schedule, kDelta), CheckFailure);
+  EXPECT_THROW(Execute(demand, schedule), CheckFailure);
 }
 
 TEST(Executor, ThrowsOnNonMatchingAssignment) {
@@ -179,7 +189,7 @@ TEST(Executor, ThrowsOnNonMatchingAssignment) {
   schedule.algorithm = "broken";
   schedule.slots.push_back({{0, 0}, 2.0});  // both rows to column 0
   DemandMatrix demand({{1.0, 0.0}, {1.0, 0.0}});
-  EXPECT_THROW(ExecuteNotAllStop(demand, schedule, kDelta), CheckFailure);
+  EXPECT_THROW(Execute(demand, schedule), CheckFailure);
 }
 
 TEST(Comparison, SolsticeBeatsTmsAndEdmondsOnAverage) {
@@ -201,11 +211,9 @@ TEST(Comparison, SolsticeBeatsTmsAndEdmondsOnAverage) {
         if (rng.Bernoulli(0.6)) v = rng.Uniform(0.008, 0.12);
     e[0][0] = std::max(e[0][0], 0.05);
     const DemandMatrix demand(e);
-    solstice_total +=
-        ExecuteNotAllStop(demand, ScheduleSolstice(demand), kDelta).cct;
-    tms_total += ExecuteNotAllStop(demand, ScheduleTms(demand), kDelta).cct;
-    edmonds_total +=
-        ExecuteNotAllStop(demand, ScheduleEdmonds(demand), kDelta).cct;
+    solstice_total += Execute(demand, ScheduleSolstice(demand)).cct;
+    tms_total += Execute(demand, ScheduleTms(demand)).cct;
+    edmonds_total += Execute(demand, ScheduleEdmonds(demand)).cct;
   }
   // The TMS/Edmonds ordering depends on how Edmonds' externally fixed slot
   // length matches the demand sizes, so only Solstice's superiority is a

@@ -56,6 +56,9 @@ TEST(Coflow, RejectsDuplicatePairs) {
 
 TEST(Coflow, RejectsNonPositiveBytes) {
   EXPECT_THROW(Coflow(1, 0, {{0, 1, 0}}), CheckFailure);
+  // Non-finite sizes are rejected too (a crafted .sft can carry them).
+  for (const Bytes bad : {HUGE_VAL, -HUGE_VAL, std::nan("")})
+    EXPECT_THROW(Coflow(1, 0, {{0, 1, bad}}), CheckFailure) << bad;
 }
 
 TEST(Coflow, ScaledBytesPreservesStructure) {
@@ -371,10 +374,13 @@ TEST(TraceValidate, CatchesUnsortedArrivals) {
 }
 
 TEST(TraceValidate, CatchesNegativeArrival) {
-  Trace trace;
-  trace.num_ports = 4;
-  trace.coflows.push_back(Coflow(1, -0.5, {{0, 1, MB(1)}}));
-  EXPECT_THROW(trace.Validate(), CheckFailure);
+  // Non-finite arrivals are caught alongside negative ones.
+  for (const Time bad : {-0.5, HUGE_VAL, std::nan("")}) {
+    Trace trace;
+    trace.num_ports = 4;
+    trace.coflows.push_back(Coflow(1, bad, {{0, 1, MB(1)}}));
+    EXPECT_THROW(trace.Validate(), CheckFailure) << bad;
+  }
 }
 
 TEST(Parser, RejectsNegativeReducerSize) {
@@ -382,6 +388,26 @@ TEST(Parser, RejectsNegativeReducerSize) {
       "4 1\n"
       "1 0 1 1 1 2:-5\n");
   EXPECT_THROW(ParseCoflowBenchmark(in), std::runtime_error);
+}
+
+// A negative arrival is a located parse error, not an unlocated
+// CheckFailure from Trace::Validate.
+TEST(Parser, RejectsNegativeArrival) {
+  std::istringstream in(
+      "4 2\n"
+      "1 0 1 1 1 2:1\n"
+      "2 -5 1 3 1 4:1\n");
+  try {
+    ParseCoflowBenchmark(in, "arrivals.txt");
+    FAIL() << "negative arrival must be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("parse error in arrivals.txt at line 3"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("negative or non-finite arrival"), std::string::npos)
+        << what;
+  }
 }
 
 // std::stod accepts "inf" and "nan"; both must fail as located parse
