@@ -42,7 +42,7 @@ struct FabricSpec {
   }
 
   /// Empty = classic single-plane fabric (plane 0 inherits SunflowConfig's
-  /// delta and bandwidth).
+  /// delta and bandwidth; ResolvePlanes in core/sunflow.h).
   bool is_default() const { return planes.empty(); }
 
   int num_planes() const {

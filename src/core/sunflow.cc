@@ -5,50 +5,14 @@
 #include <map>
 #include <queue>
 #include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
-#include "runtime/arena.h"
 
 namespace sunflow {
-
-namespace {
-
-// Surfaces the thread-local arena's traffic as arena.* counters, as a
-// delta over the enclosing scope (one flush per ScheduleAll call, so the
-// counters never touch the per-flow hot path).
-class ArenaMetricsScope {
- public:
-  explicit ArenaMetricsScope(runtime::Arena& arena)
-      : arena_(arena), before_(arena.stats()) {}
-  ~ArenaMetricsScope() {
-    static thread_local obs::Counter& allocations =
-        obs::GlobalMetrics().GetCounter("arena.allocations");
-    static thread_local obs::Counter& bytes =
-        obs::GlobalMetrics().GetCounter("arena.bytes");
-    static thread_local obs::Counter& block_allocs =
-        obs::GlobalMetrics().GetCounter("arena.block_allocs");
-    static thread_local obs::Counter& frames =
-        obs::GlobalMetrics().GetCounter("arena.frames");
-    const runtime::ArenaStats& after = arena_.stats();
-    allocations.Increment(after.allocations - before_.allocations);
-    bytes.Increment(after.bytes - before_.bytes);
-    block_allocs.Increment(after.block_allocs - before_.block_allocs);
-    frames.Increment(after.frames - before_.frames);
-  }
-
-  ArenaMetricsScope(const ArenaMetricsScope&) = delete;
-  ArenaMetricsScope& operator=(const ArenaMetricsScope&) = delete;
-
- private:
-  runtime::Arena& arena_;
-  runtime::ArenaStats before_;
-};
-
-}  // namespace
 
 const char* ToString(ReservationOrder order) {
   switch (order) {
@@ -70,6 +34,13 @@ Time SunflowSchedule::MaxCompletion() const {
   return best;
 }
 
+std::vector<PlaneSpec> ResolvePlanes(const SunflowConfig& config) {
+  if (config.fabric.is_default()) {
+    return {PlaneSpec{config.delta, config.bandwidth}};
+  }
+  return config.fabric.planes;
+}
+
 PlanRequest PlanRequest::FromCoflow(const Coflow& coflow, Bandwidth bandwidth,
                                     std::optional<Time> start) {
   SUNFLOW_CHECK(bandwidth > 0);
@@ -87,15 +58,10 @@ SunflowPlanner::SunflowPlanner(PortId num_ports, SunflowConfig config)
     : prt_(num_ports, config.fabric.num_planes()), config_(std::move(config)) {
   SUNFLOW_CHECK(config_.bandwidth > 0);
   SUNFLOW_CHECK(config_.delta >= 0);
-  // Resolve the effective plane list once: the empty (default) fabric is
-  // one plane inheriting the config's delta and bandwidth, which makes
-  // plane_scale_[0] exactly 1.0 — the K=1 equivalence contract
-  // (core/fabric.h) rests on that.
-  if (config_.fabric.is_default()) {
-    planes_ = {PlaneSpec{config_.delta, config_.bandwidth}};
-  } else {
-    planes_ = config_.fabric.planes;
-  }
+  // The empty (default) fabric resolves to one plane at the config's delta
+  // and bandwidth, which makes plane_scale_[0] exactly 1.0 — the K=1
+  // equivalence contract (core/fabric.h) rests on that.
+  planes_ = ResolvePlanes(config_);
   plane_scale_.reserve(planes_.size());
   for (const PlaneSpec& p : planes_) {
     SUNFLOW_CHECK(p.delta >= 0);
@@ -228,39 +194,34 @@ Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
 Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
                                  SunflowSchedule& out) {
   SUNFLOW_PROFILE_SCOPE("core.plan");
-  // Established circuits declared after the request start could zero a
-  // setup at a mid-plan instant; the wakeup index assumes setup never
-  // shrinks as t advances (true for replay carry-over, where circuits are
-  // observed up exactly at the replan instant), so this corner runs the
-  // reference loop instead.
-  if (has_established() && established_at_ > request.start + kTimeEps) {
-    return ScheduleOneRescan(request, out);
-  }
+  // The wakeup index assumes a setup never shrinks as t advances. That
+  // holds when carried-over circuits are observed up no later than the
+  // request start (the replay engine declares them exactly at the replan
+  // instant); circuits declared later could zero a setup mid-plan.
+  SUNFLOW_CHECK_MSG(!has_established() ||
+                        established_at_ <= request.start + kTimeEps,
+                    "established circuits declared at t="
+                        << established_at_ << " after the start t="
+                        << request.start << " of coflow " << request.coflow
+                        << "; declare carried-over circuits at or before "
+                           "the request start");
   const std::vector<FlowDemand> ordered = Ordered(request);
 
   Time finish = request.start;
   Time t = request.start;
   int reservations_made = 0;
 
-  // Per-request scratch lives on the thread-local arena: a handful of
-  // vectors plus the wakeup heap, all bump-allocated and rewound wholesale
-  // when the request finishes (runtime/arena.h). Steady-state planning
-  // therefore makes zero heap round trips here.
-  runtime::Arena& arena = runtime::ThisThreadArena();
-  const runtime::ArenaScope scratch(arena);
-  const runtime::ArenaAllocator<Time> alloc(arena);
-
   // Remaining demand per ordered index; 0 once the flow is done.
-  runtime::ArenaVector<Time> remaining(ordered.size(), 0, alloc);
+  std::vector<Time> remaining(ordered.size(), 0);
 
   // Blocked-episode tracking, trace emission only (inert without a sink —
   // the cursor-free owner probes are never called and no state allocates).
   // One open episode per flow; an episode closes and a new one opens when
   // the blocking cause (reason, blamer) changes, so contention spans
   // attribute to the coflow actually in the way at each instant.
-  runtime::ArenaVector<Time> blk_since(alloc);
-  runtime::ArenaVector<obs::BlockReason> blk_reason(alloc);
-  runtime::ArenaVector<CoflowId> blk_blamer(alloc);
+  std::vector<Time> blk_since;
+  std::vector<obs::BlockReason> blk_reason;
+  std::vector<CoflowId> blk_blamer;
   if (sink_ != nullptr) {
     blk_since.assign(ordered.size(), kTimeInf);
     blk_reason.assign(ordered.size(), obs::BlockReason::kInputPortBusy);
@@ -428,8 +389,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // zero-demand entries (Equation 3: t_ij = 0 when p_ij = 0). Flows that
   // cannot finish here enter the wakeup queue.
   using Wakeup = std::pair<Time, std::size_t>;
-  std::priority_queue<Wakeup, runtime::ArenaVector<Wakeup>, std::greater<>>
-      wakeups{std::greater<>{}, runtime::ArenaVector<Wakeup>(alloc)};
+  std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups;
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     if (ordered[i].processing <= kTimeEps) continue;
     remaining[i] = ordered[i].processing;
@@ -443,8 +403,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // every release instant; sorting the woken indices replays that order
   // within the subset, and the flows left sleeping are exactly the ones
   // the rescan would have retried and failed.
-  runtime::ArenaVector<std::size_t> woken{
-      runtime::ArenaAllocator<std::size_t>(arena)};
+  std::vector<std::size_t> woken;
   while (!wakeups.empty()) {
     const Time next = NextWakeInstant(t, wakeups.top().first, request.coflow);
     SUNFLOW_CHECK(next > t);
@@ -656,8 +615,6 @@ SunflowSchedule SunflowPlanner::ScheduleAll(
 
 SunflowSchedule SunflowPlanner::ScheduleAll(
     const std::vector<const PlanRequest*>& requests) {
-  // Flushes the arena traffic of every nested ScheduleOne scratch frame.
-  const ArenaMetricsScope arena_metrics(runtime::ThisThreadArena());
   SunflowSchedule out;
   for (const PlanRequest* req : requests) ScheduleOne(*req, out);
   out.reservations = prt_.reservations();

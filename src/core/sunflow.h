@@ -58,6 +58,12 @@ struct SunflowConfig {
   FabricSpec fabric;
 };
 
+/// The effective plane list of a config: config.fabric.planes, or the one
+/// implicit plane {delta, bandwidth} when the fabric spec is empty. Every
+/// consumer of the fabric (planner, engine execution, the per-core
+/// baseline) resolves planes through this one function.
+std::vector<PlaneSpec> ResolvePlanes(const SunflowConfig& config);
+
 /// A circuit (in → out) that is already established (set up and
 /// transmitting) at the instant planning starts; reservations for this pair
 /// beginning exactly at plan start need no setup δ. Used by the replay
@@ -116,15 +122,15 @@ class SunflowPlanner {
   /// Algorithm 1, IntraCoflow: reserves circuits for one request on the
   /// shared PRT, never disturbing existing reservations. Returns the
   /// absolute finish time of the request (kTimeInf never — always finite).
+  /// Established circuits, if any, must be declared at or before the
+  /// request start (CheckFailure otherwise).
   Time ScheduleOne(const PlanRequest& request, SunflowSchedule& out);
 
   /// Reference implementation of ScheduleOne: the paper-literal loop that
   /// rescans every pending flow at every release instant. ScheduleOne
   /// produces byte-identical output via an event-indexed wakeup queue
   /// (see docs/engine.md, "Planner complexity"); this path is retained as
-  /// the oracle the differential tests compare against, and as the
-  /// fallback for established circuits declared after the request start
-  /// (where a mid-plan instant could zero a setup).
+  /// the oracle the differential tests compare against.
   Time ScheduleOneRescan(const PlanRequest& request, SunflowSchedule& out);
 
   /// Algorithm 1, InterCoflow: schedules requests in the given order
@@ -136,7 +142,8 @@ class SunflowPlanner {
   /// (e.g. one port-disjoint group) without copying demand vectors.
   SunflowSchedule ScheduleAll(const std::vector<const PlanRequest*>& requests);
 
-  /// Declares circuits already up at plan start (replay carry-over).
+  /// Declares circuits already up at plan start (replay carry-over); `at`
+  /// must not be later than the start of any request planned afterwards.
   /// SetEstablishedCircuits places everything on plane 0; the ByPlane
   /// variant declares per-plane carry-over and must pass exactly
   /// num_planes() maps. (Distinct names, not overloads: a braced list of
@@ -170,18 +177,13 @@ class SunflowPlanner {
   const FabricReservationTable& prt() const { return prt_; }
   const SunflowConfig& config() const { return config_; }
 
-  /// The effective plane list: config().fabric.planes, or the implicit
-  /// single plane {delta, bandwidth} when the fabric spec is empty.
+  /// The effective plane list, ResolvePlanes(config()).
   const std::vector<PlaneSpec>& planes() const { return planes_; }
   int num_planes() const { return static_cast<int>(planes_.size()); }
 
   // Introspection for the parallel group planner (core/components.cc):
-  // worker planners must replicate the established-circuit state, and the
-  // parallel path is only output-equivalent when no callback observes the
-  // per-reservation stream mid-plan.
-  const EstablishedCircuits& established_circuits() const {
-    return established_[0];
-  }
+  // worker planners replicate the established-circuit state, and the
+  // parallel path needs no callback observing the stream mid-plan.
   const FabricEstablished& established_by_plane() const {
     return established_;
   }

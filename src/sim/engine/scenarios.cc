@@ -25,16 +25,10 @@ namespace sunflow::engine {
 namespace {
 
 // The effective per-plane link rates of a config's fabric, index-aligned
-// with CircuitReservation::plane. Mirrors the planner's resolution of the
-// empty spec: one plane at the config bandwidth (SunflowPlanner::planes()).
+// with CircuitReservation::plane.
 std::vector<Bandwidth> PlaneRates(const SunflowConfig& config) {
   std::vector<Bandwidth> rates;
-  if (config.fabric.is_default()) {
-    rates.push_back(config.bandwidth);
-  } else {
-    rates.reserve(config.fabric.planes.size());
-    for (const PlaneSpec& p : config.fabric.planes) rates.push_back(p.rate);
-  }
+  for (const PlaneSpec& p : ResolvePlanes(config)) rates.push_back(p.rate);
   return rates;
 }
 
@@ -235,21 +229,87 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   return plan;
 }
 
+// The K-core per-core baseline from the K-core scheduling literature
+// (sched/kcore.h): each coflow is pinned wholly to one core —
+// shortest-effective-bottleneck-first onto the least loaded core — and
+// Sunflow runs independently per core on a single-plane planner whose
+// implicit plane inherits that core's (δ, rate); the planner's demand
+// scale (bandwidth / rate) stretches the canonical processing times
+// exactly as the joint planner would. Requests keep their global priority
+// order within the core, and the reservations are retagged with the
+// owning plane so execution, tracing and the plane-exclusivity audit see
+// the true fabric.
+SunflowSchedule PlanPerCore(ReplayDriver& driver, const PriorityPolicy& policy,
+                            const SunflowConfig& config,
+                            const std::vector<PlaneSpec>& planes,
+                            const FabricEstablished* established, Time t) {
+  SimState& s = driver.state();
+  const std::vector<PlanRequest> owned =
+      PriorityOrderedRequests(s, policy, config.bandwidth, t);
+  const std::vector<const PlanRequest*> requests = Pointers(owned);
+
+  const auto plan_begin = std::chrono::steady_clock::now();
+  const KCoreAssignment assignment =
+      AssignCoflowsToCores(requests, planes, config.bandwidth);
+  SunflowSchedule plan;
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    std::vector<const PlanRequest*> core_requests;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (assignment.plane_of[i] == static_cast<PlaneId>(p))
+        core_requests.push_back(requests[i]);
+    }
+    if (core_requests.empty()) continue;
+    SunflowConfig core_config = config;
+    core_config.fabric =
+        FabricSpec::Uniform(1, planes[p].delta, planes[p].rate);
+    SunflowPlanner planner(s.num_ports(), core_config);
+    if (established != nullptr && !(*established)[p].empty())
+      planner.SetEstablishedCircuits((*established)[p], t);
+    SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
+    for (auto& r : core_plan.reservations) r.plane = static_cast<PlaneId>(p);
+    plan.reservations.insert(plan.reservations.end(),
+                             core_plan.reservations.begin(),
+                             core_plan.reservations.end());
+    plan.completion_time.merge(core_plan.completion_time);
+    plan.reservation_count.merge(core_plan.reservation_count);
+    plan.flow_finish.merge(core_plan.flow_finish);
+    // Per-core plans run back to back; peak pool occupancy is the widest
+    // single core's group fan-out, not the sum.
+    plan.parallel_groups =
+        std::max(plan.parallel_groups, core_plan.parallel_groups);
+  }
+  const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - plan_begin)
+                           .count();
+  driver.NoteReplan(t, plan, static_cast<double>(plan_ns), requests.size());
+  return plan;
+}
+
 // --- "circuit": Sunflow's Varys-like replan on arrivals/completions. ----
+//
+// Planning is joint by default: one plane-aware planner assigns every
+// reservation to the earliest feasible plane. The "kcore" scenario's
+// per-core baseline (EngineConfig::kcore_joint false) plans with
+// PlanPerCore instead and shares everything after the planning step.
+enum class Planning { kJoint, kPerCore };
 
 class CircuitScenario final : public ScenarioPolicy {
  public:
   CircuitScenario(const PriorityPolicy& policy, const EngineConfig& config,
-                  CompletionHook hook)
+                  CompletionHook hook, Planning planning = Planning::kJoint)
       : policy_(policy),
         config_(config),
         hook_(std::move(hook)),
+        planning_(planning),
+        planes_(ResolvePlanes(config_.sunflow)),
         plane_rates_(PlaneRates(config_.sunflow)),
-        established_(plane_rates_.size()) {
+        established_(planes_.size()) {
     SUNFLOW_CHECK(config_.sunflow.bandwidth > 0);
   }
 
-  std::string name() const override { return "circuit"; }
+  std::string name() const override {
+    return planning_ == Planning::kPerCore ? "kcore" : "circuit";
+  }
 
   void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
     sc.static_tpl = PacketLowerBound(coflow, config_.sunflow.bandwidth);
@@ -268,10 +328,14 @@ class CircuitScenario final : public ScenarioPolicy {
     SimState& s = driver.state();
     auto& active = s.active();
 
-    SunflowSchedule plan = PlanActiveSet(
-        driver, policy_, config_.sunflow,
-        config_.carry_over_circuits ? &established_ : nullptr, t,
-        config_.plan_pool);
+    const FabricEstablished* established =
+        config_.carry_over_circuits ? &established_ : nullptr;
+    SunflowSchedule plan =
+        planning_ == Planning::kPerCore
+            ? PlanPerCore(driver, policy_, config_.sunflow, planes_,
+                          established, t)
+            : PlanActiveSet(driver, policy_, config_.sunflow, established, t,
+                            config_.plan_pool);
     last_plan_ = t;
 
     // Next event: a release or the earliest planned completion. A release
@@ -289,7 +353,7 @@ class CircuitScenario final : public ScenarioPolicy {
       t_next = std::min(t_next, t + it->second);
     }
     SUNFLOW_CHECK_MSG(t_next < kTimeInf && t_next > t,
-                      "circuit replay stalled at t=" << t);
+                      name() << " replay stalled at t=" << t);
 
     ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
                     DrainRule::kCircuitDust, span_scratch_);
@@ -315,150 +379,17 @@ class CircuitScenario final : public ScenarioPolicy {
     return 10 * state.total_released() + 1000;
   }
   const char* budget_message() const override {
-    return "circuit replay event explosion";
+    return planning_ == Planning::kPerCore ? "kcore replay event explosion"
+                                           : "circuit replay event explosion";
   }
 
  private:
   const PriorityPolicy& policy_;
   EngineConfig config_;
   CompletionHook hook_;
-  std::vector<Bandwidth> plane_rates_;
-  FabricEstablished established_;  // carry-over per plane
-  std::vector<const CircuitReservation*> span_scratch_;
-  Time last_plan_ = -kTimeInf;
-};
-
-// --- "kcore": K parallel switch planes (K-core OCS). --------------------
-//
-// Joint mode (EngineConfig::kcore_joint, the default) is the plane-aware
-// circuit scenario itself: one planner assigns every reservation to the
-// earliest feasible plane. This class is the comparison baseline from the
-// K-core scheduling literature (sched/kcore.h): each coflow is pinned
-// wholly to one core — shortest-effective-bottleneck-first onto the least
-// loaded core — and Sunflow runs independently per core on a single-plane
-// planner; the reservations are retagged with the owning plane so
-// execution, tracing and the plane-exclusivity audit see the true fabric.
-class KCorePerCoreScenario final : public ScenarioPolicy {
- public:
-  KCorePerCoreScenario(const PriorityPolicy& policy,
-                       const EngineConfig& config)
-      : policy_(policy), config_(config) {
-    SUNFLOW_CHECK(config_.sunflow.bandwidth > 0);
-    // Resolve the plane list exactly like the planner does.
-    if (config_.sunflow.fabric.is_default()) {
-      planes_.push_back({config_.sunflow.delta, config_.sunflow.bandwidth});
-    } else {
-      planes_ = config_.sunflow.fabric.planes;
-    }
-    rates_.reserve(planes_.size());
-    for (const PlaneSpec& p : planes_) rates_.push_back(p.rate);
-    established_.resize(planes_.size());
-  }
-
-  std::string name() const override { return "kcore"; }
-
-  void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
-    sc.static_tpl = PacketLowerBound(coflow, config_.sunflow.bandwidth);
-  }
-
-  void OnIdleGap(SimState& /*state*/, Time /*now*/) override {
-    for (auto& m : established_) m.clear();
-  }
-
-  Time ExecuteSpan(ReplayDriver& driver, Time t) override {
-    SimState& s = driver.state();
-    auto& active = s.active();
-    const Bandwidth bandwidth = config_.sunflow.bandwidth;
-
-    const std::vector<PlanRequest> owned =
-        PriorityOrderedRequests(s, policy_, bandwidth, t);
-    const std::vector<const PlanRequest*> requests = Pointers(owned);
-
-    const auto plan_begin = std::chrono::steady_clock::now();
-    const KCoreAssignment assignment =
-        AssignCoflowsToCores(requests, planes_, bandwidth);
-
-    // Each core plans independently on a single-plane planner whose
-    // implicit plane inherits that core's (δ, rate); the planner's demand
-    // scale (bandwidth / rate) stretches the canonical processing times
-    // exactly as the joint planner would. Requests keep their global
-    // priority order within the core.
-    SunflowSchedule plan;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      std::vector<const PlanRequest*> core_requests;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (assignment.plane_of[i] == static_cast<PlaneId>(p))
-          core_requests.push_back(requests[i]);
-      }
-      if (core_requests.empty()) continue;
-      SunflowConfig core_config = config_.sunflow;
-      core_config.fabric =
-          FabricSpec::Uniform(1, planes_[p].delta, planes_[p].rate);
-      SunflowPlanner planner(s.num_ports(), core_config);
-      if (config_.carry_over_circuits && !established_[p].empty())
-        planner.SetEstablishedCircuits(established_[p], t);
-      SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
-      for (auto& r : core_plan.reservations)
-        r.plane = static_cast<PlaneId>(p);
-      plan.reservations.insert(plan.reservations.end(),
-                               core_plan.reservations.begin(),
-                               core_plan.reservations.end());
-      plan.completion_time.merge(core_plan.completion_time);
-      plan.reservation_count.merge(core_plan.reservation_count);
-      plan.flow_finish.merge(core_plan.flow_finish);
-      // Per-core plans run back to back; peak pool occupancy is the
-      // widest single core's group fan-out, not the sum.
-      plan.parallel_groups =
-          std::max(plan.parallel_groups, core_plan.parallel_groups);
-    }
-    const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - plan_begin)
-                             .count();
-    driver.NoteReplan(t, plan, static_cast<double>(plan_ns), requests.size());
-    last_plan_ = t;
-
-    Time t_next = kTimeInf;
-    if (s.HasPendingReleases()) {
-      t_next = std::max(s.NextReleaseTime(),
-                        last_plan_ + config_.min_replan_interval);
-    }
-    for (const auto& sc : active) {
-      auto it = plan.completion_time.find(sc.id);
-      SUNFLOW_CHECK(it != plan.completion_time.end());
-      t_next = std::min(t_next, t + it->second);
-    }
-    SUNFLOW_CHECK_MSG(t_next < kTimeInf && t_next > t,
-                      "kcore replay stalled at t=" << t);
-
-    ExecutePlanSpan(driver, active, plan, t, t_next, rates_,
-                    DrainRule::kCircuitDust, span_scratch_);
-    driver.EmitExecutedPlan(plan, t, t_next);
-    driver.EmitBlockedSpans(plan, t, t_next);
-
-    for (auto& m : established_) m.clear();
-    if (config_.carry_over_circuits) {
-      for (const auto& r : plan.reservations) {
-        if (r.transmit_begin() <= t_next + kTimeEps &&
-            t_next < r.end - kTimeEps) {
-          established_[static_cast<std::size_t>(r.plane)][r.in] = r.out;
-        }
-      }
-    }
-    return t_next;
-  }
-
-  std::size_t StepBudget(const SimState& state) const override {
-    return 10 * state.total_released() + 1000;
-  }
-  const char* budget_message() const override {
-    return "kcore replay event explosion";
-  }
-
- private:
-  const PriorityPolicy& policy_;
-  EngineConfig config_;
+  Planning planning_;
   std::vector<PlaneSpec> planes_;
-  std::vector<Bandwidth> rates_;
+  std::vector<Bandwidth> plane_rates_;
   FabricEstablished established_;  // carry-over per plane
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_plan_ = -kTimeInf;
@@ -681,17 +612,14 @@ EngineResult RunKCore(const Trace& trace, const PriorityPolicy* policy,
   trace.Validate();
   SUNFLOW_CHECK_MSG(policy != nullptr,
                     "the kcore scenario needs a priority policy");
-  EngineResult result;
-  if (config.kcore_joint) {
-    // Joint planning over all K planes is the plane-aware circuit
-    // scenario itself — with an empty fabric spec this is byte-identical
-    // to "circuit" (the K=1 equivalence contract, core/fabric.h).
-    CircuitScenario scenario(*policy, config, nullptr);
-    result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  } else {
-    KCorePerCoreScenario scenario(*policy, config);
-    result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  }
+  // Joint planning over all K planes is the plane-aware circuit scenario
+  // itself — with an empty fabric spec this is byte-identical to "circuit"
+  // (the K=1 equivalence contract, core/fabric.h). Without kcore_joint each
+  // coflow is planned on one core instead (PlanPerCore).
+  CircuitScenario scenario(
+      *policy, config, nullptr,
+      config.kcore_joint ? Planning::kJoint : Planning::kPerCore);
+  auto result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
   SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
   return result;
 }

@@ -140,6 +140,11 @@ TEST(KCoreScenario, JointOnDefaultFabricMatchesCircuitExactly) {
 TEST(KCoreScenario, ExplicitSinglePlaneMatchesDefaultFabric) {
   // FabricSpec::Uniform(1, δ, B) resolves to the same plane the empty
   // fabric defaults to, on both the joint and the per-core path.
+  const engine::EngineConfig defaults = BaseConfig();
+  EXPECT_EQ(ResolvePlanes(defaults.sunflow),
+            FabricSpec::Uniform(1, defaults.sunflow.delta,
+                                defaults.sunflow.bandwidth)
+                .planes);
   const Trace trace = SmallTrace();
   const auto policy = MakeShortestFirstPolicy();
   for (const bool joint : {true, false}) {

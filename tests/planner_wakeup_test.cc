@@ -6,12 +6,15 @@
 // paths must produce bit-identical reservations, flow finishes and
 // completion times. A dedicated regression test pins the retry-order
 // contract: flows woken at the same instant are retried in their original
-// Ordered() positions, never in heap-arrival order.
+// Ordered() positions, never in heap-arrival order. Established circuits
+// declared after a request's start are a precondition failure, not a
+// silent detour through the rescan loop.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/rng.h"
 #include "core/sunflow.h"
 
@@ -122,6 +125,24 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
     }
     ExpectSchedulesEqual(got, want);
   }
+}
+
+// Circuits observed up at t=1 cannot carry into a plan that starts at t=0:
+// a mid-plan instant would zero a setup the wakeup index already priced.
+// ScheduleOne rejects the call before touching the PRT.
+TEST(PlannerWakeup, RejectsEstablishedCircuitsAfterStart) {
+  SunflowConfig cfg;
+  cfg.bandwidth = 1.0;
+  cfg.delta = 0.1;
+  SunflowPlanner planner(4, cfg);
+  planner.SetEstablishedCircuits({{0, 1}}, /*at=*/1.0);
+  PlanRequest req;
+  req.coflow = 7;
+  req.start = 0;
+  req.demand = {{0, 1, 2.0}, {2, 3, 0.5}};
+  SunflowSchedule schedule;
+  EXPECT_THROW(planner.ScheduleOne(req, schedule), CheckFailure);
+  EXPECT_TRUE(planner.prt().reservations().empty());
 }
 
 // ISSUE contract: flows woken at the same release instant must be retried
