@@ -1,12 +1,14 @@
 // Microbenchmark of the discrete-event kernel's plan/execute/replan loop
 // (sim/engine): wall-clock replans/sec for a whole-trace replay, plus the
-// event-queue traffic the run generated. Throughput lands in the metrics
+// event-queue traffic and the planner's retry walk (core.plan.retries /
+// core.plan.wake_instants) the run generated. Throughput lands in the metrics
 // registry as engine.replans_per_sec next to the driver-maintained
 // engine.event_pushes / engine.event_pops counters, and the run manifest
 // carries the phase breakdown (engine.execute / core.plan / ...) next to
 // the scheduler.compute_ns planning histogram, so one run yields
 // everything a regression dashboard needs.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -46,6 +48,14 @@ void DumpCcts(std::ofstream& out, const std::string& label,
     std::snprintf(buf, sizeof(buf), "%.17g", t);
     out << label << " " << id << " " << buf << "\n";
   }
+}
+
+// Merged value of a GlobalMetrics() counter. Read only between replays,
+// once the pool has quiesced.
+std::uint64_t CounterValue(const char* name) {
+  const sunflow::obs::Counter* c =
+      sunflow::obs::GlobalMetrics().FindCounter(name);
+  return c != nullptr ? c->value() : 0;
 }
 
 }  // namespace
@@ -90,7 +100,7 @@ int main(int argc, char** argv) {
 
   TextTable table("replan-loop throughput (" + engine_name + ")");
   table.SetHeader({"run", "replans", "wall ms", "replans/sec", "evq pushes",
-                   "evq pops", "evq hwm"});
+                   "evq pops", "evq hwm", "plan retries", "wake instants"});
   auto& throughput =
       obs::GlobalMetrics().GetHistogram("engine.replans_per_sec");
   double best_rps = 0;
@@ -98,6 +108,8 @@ int main(int argc, char** argv) {
     // Sample only the first timed replay — BeginRun resets the sampler,
     // so attaching every repetition would keep just the last.
     ec.timeline = r == 0 ? session.timeline() : nullptr;
+    const std::uint64_t retries = CounterValue("core.plan.retries");
+    const std::uint64_t instants = CounterValue("core.plan.wake_instants");
     const auto begin = std::chrono::steady_clock::now();
     const engine::EngineResult result =
         engine::ScenarioRegistry::Global().Run(engine_name, w.trace,
@@ -112,12 +124,16 @@ int main(int argc, char** argv) {
                   TextTable::Fmt(seconds * 1e3, 2), TextTable::Fmt(rps, 0),
                   std::to_string(result.queue.pushes),
                   std::to_string(result.queue.pops),
-                  std::to_string(result.queue.depth_high_water)});
+                  std::to_string(result.queue.depth_high_water),
+                  std::to_string(CounterValue("core.plan.retries") - retries),
+                  std::to_string(CounterValue("core.plan.wake_instants") -
+                                 instants)});
     if (cct_file.is_open() && r == 0) DumpCcts(cct_file, "main", result.cct);
   }
   table.AddFootnote(
-      "engine.event_pushes / engine.event_pops accumulate in the metrics "
-      "registry (--metrics / --metrics_csv)");
+      "engine.event_pushes / engine.event_pops and core.plan.retries / "
+      "core.plan.wake_instants accumulate in the metrics registry "
+      "(--metrics / --metrics_csv)");
   table.Print(std::cout);
   session.AddManifestValue("replans_per_sec_best", best_rps);
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
@@ -161,12 +162,24 @@ Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
                                      CoflowId coflow) const {
   // `wake` is the earliest pending wakeup: always the end of a recorded
   // reservation, strictly later than t + ε. The legacy loop visited every
-  // release instant after t; instants before wake - ε are provably no-ops
-  // (reservations are never removed, so a blocked flow only gets more
-  // blocked), which lets the walk jump — but only onto an instant the
-  // legacy chain itself would have visited, because a release within ε
-  // below a chain instant is absorbed into it by the tolerant comparison.
-  const Time a = prt_.FirstReleaseAtOrAfter(wake - kTimeEps);
+  // release instant after t; instants that do not yet cover the wakeup
+  // (wake > v + ε) are provably no-ops (reservations are never removed,
+  // so a blocked flow only gets more blocked), which lets the walk jump —
+  // but only onto an instant the legacy chain itself would have visited,
+  // because a release within ε above a chain instant is absorbed into it
+  // by the tolerant comparison. Every test below is written as the PRT
+  // probes write theirs (x + ε against y, never y - x against ε): the two
+  // forms round differently when instants sit a hair more than ε apart.
+  Time a = prt_.FirstReleaseAtOrAfter(wake - kTimeEps);
+  // wake - ε and a + ε round independently: settle `a` on the first
+  // release that covers the wakeup.
+  for (Time p = prt_.LastReleaseBefore(a); wake <= p + kTimeEps;
+       p = prt_.LastReleaseBefore(a)) {
+    a = p;
+  }
+  while (a < kTimeInf && wake > a + kTimeEps) {
+    a = prt_.FirstReleaseAtOrAfter(std::nextafter(a, kTimeInf));
+  }
   SUNFLOW_CHECK_MSG(a < kTimeInf,
                     "Sunflow stuck: pending demand but no future release "
                     "(coflow "
@@ -179,11 +192,11 @@ Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
     // over it and the tolerant retry at the next instant picks it up).
     return a > t + kTimeEps ? a : prt_.NextReleaseAfter(t);
   }
-  if (a - b > kTimeEps) return a;  // `a` opens its own chain instant
+  if (a > b + kTimeEps) return a;  // `a` opens its own chain instant
   // A sub-ε cluster of release times straddles the target: replay the
   // legacy chain step by step so the visited instant matches it exactly.
   Time v = t;
-  while (v < wake - kTimeEps) {
+  while (wake > v + kTimeEps) {
     const Time next = prt_.NextReleaseAfter(v);
     SUNFLOW_CHECK(next < kTimeInf && next > v);
     v = next;
@@ -273,6 +286,16 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // plane's binding constraint can change, and the blocked episode blames
   // that plane's blocker (ties to the lowest plane id). With one plane
   // this is exactly the single-switch MakeReservation, branch for branch.
+  auto finish_flow = [&](std::size_t idx, const FlowDemand& f, Time at) {
+    remaining[idx] = 0;
+    out.flow_finish[{request.coflow, f.src, f.dst}] = at;
+    finish = std::max(finish, at);
+    obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
+                      .t = at,
+                      .coflow = request.coflow,
+                      .in = f.src,
+                      .out = f.dst});
+  };
   const auto num_planes = static_cast<PlaneId>(planes_.size());
   auto try_flow = [&](std::size_t idx) -> Time {
     const FlowDemand& f = ordered[idx];
@@ -316,8 +339,12 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
       // bit-identical to the single-plane code.
       const Time ld =
           setup + remaining[idx] * plane_scale_[static_cast<std::size_t>(p)];
-      // A reservation of length <= setup would transmit nothing: skip.
-      if (lm <= setup + kTimeEps) {
+      const Time l = std::min(lm, ld);
+      // A reservation of length <= setup would transmit nothing: skip. So
+      // would one the PRT stores as empty: at δ = 0 a length a hair above
+      // ε can still round to t + l <= t + ε.
+      const bool empty = t + l <= t + kTimeEps;
+      if (lm <= setup + kTimeEps || (empty && l == lm)) {
         if (tm_release < best_wake) {
           best_wake = tm_release;
           best_plane = p;
@@ -325,7 +352,12 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
         }
         continue;
       }
-      const Time l = std::min(lm, ld);
+      if (empty) {
+        // A demand residue that short is within ε of done.
+        close_episode(idx, f);
+        finish_flow(idx, f, t);
+        return kTimeInf;
+      }
       const CircuitReservation reservation{f.src, f.dst,        t, t + l,
                                            setup, request.coflow, p};
       prt_.Reserve(reservation);
@@ -348,15 +380,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
                         .plane = p});
       const Time rest = std::max(0.0, ld - l);
       if (rest <= kTimeEps) {
-        remaining[idx] = 0;
-        const Time flow_finish = t + l;
-        out.flow_finish[{request.coflow, f.src, f.dst}] = flow_finish;
-        finish = std::max(finish, flow_finish);
-        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
-                          .t = flow_finish,
-                          .coflow = request.coflow,
-                          .in = f.src,
-                          .out = f.dst});
+        finish_flow(idx, f, t + l);
         return kTimeInf;
       }
       remaining[idx] = rest / plane_scale_[static_cast<std::size_t>(p)];
@@ -387,14 +411,19 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
 
   // First pass at the request start, in Ordered() order, dropping
   // zero-demand entries (Equation 3: t_ij = 0 when p_ij = 0). Flows that
-  // cannot finish here enter the wakeup queue.
-  using Wakeup = std::pair<Time, std::size_t>;
-  std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups;
+  // cannot finish here enter the wakeup queue, which is bucketed by wake
+  // instant: sleeping flows cluster on a few release instants (a busy
+  // port's release wakes every flow blocked on it), so one entry per
+  // distinct instant keeps the queue far shallower than one per flow.
+  std::map<Time, std::vector<std::size_t>> wakeups;
+  std::uint64_t retries = 0;
+  std::uint64_t wake_instants = 0;
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     if (ordered[i].processing <= kTimeEps) continue;
     remaining[i] = ordered[i].processing;
+    ++retries;
     const Time w = try_flow(i);
-    if (w < kTimeInf) wakeups.push({w, i});
+    if (w < kTimeInf) wakeups[w].push_back(i);
   }
 
   // Event-indexed walk: advance to the chain instant covering the
@@ -405,20 +434,33 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // the rescan would have retried and failed.
   std::vector<std::size_t> woken;
   while (!wakeups.empty()) {
-    const Time next = NextWakeInstant(t, wakeups.top().first, request.coflow);
+    const Time next =
+        NextWakeInstant(t, wakeups.begin()->first, request.coflow);
     SUNFLOW_CHECK(next > t);
     t = next;
+    ++wake_instants;
     woken.clear();
-    while (!wakeups.empty() && wakeups.top().first <= t + kTimeEps) {
-      woken.push_back(wakeups.top().second);
-      wakeups.pop();
+    auto due = wakeups.begin();
+    for (; due != wakeups.end() && due->first <= t + kTimeEps; ++due) {
+      woken.insert(woken.end(), due->second.begin(), due->second.end());
     }
+    wakeups.erase(wakeups.begin(), due);
     std::sort(woken.begin(), woken.end());
+    retries += woken.size();
     for (std::size_t idx : woken) {
       const Time w = try_flow(idx);
-      if (w < kTimeInf) wakeups.push({w, idx});
+      if (w < kTimeInf) wakeups[w].push_back(idx);
     }
   }
+
+  // Tallied locally and published once per call: per-retry increments
+  // would sit on the hottest loop in the planner.
+  static thread_local obs::Counter& retry_counter =
+      obs::GlobalMetrics().GetCounter("core.plan.retries");
+  static thread_local obs::Counter& wake_counter =
+      obs::GlobalMetrics().GetCounter("core.plan.wake_instants");
+  retry_counter.Increment(retries);
+  wake_counter.Increment(wake_instants);
 
   out.completion_time[request.coflow] = finish - request.start;
   out.reservation_count[request.coflow] += reservations_made;
@@ -428,10 +470,20 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
 Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
                                        SunflowSchedule& out) {
   SUNFLOW_PROFILE_SCOPE("core.plan");
-  std::vector<FlowDemand> pending = Ordered(request);
-  // Drop zero-demand entries up front (Equation 3: t_ij = 0 when p_ij = 0).
-  std::erase_if(pending,
-                [](const FlowDemand& f) { return f.processing <= kTimeEps; });
+  // A flow holds at most one circuit at a time, so it is not retried
+  // before its last reservation ends (`held_until`). With one plane that
+  // changes nothing, since its own circuit keeps both its ports busy; with
+  // K > 1 planes it keeps the loop from striping the flow onto a second
+  // plane mid-reservation, which ScheduleOne never does.
+  struct PendingFlow {
+    FlowDemand demand;
+    Time held_until = 0;
+  };
+  std::vector<PendingFlow> pending;
+  for (const FlowDemand& f : Ordered(request)) {
+    // Drop zero-demand entries up front (Equation 3: t_ij = 0 when p_ij = 0).
+    if (f.processing > kTimeEps) pending.push_back({f, request.start});
+  }
 
   Time finish = request.start;
   Time t = request.start;
@@ -483,8 +535,18 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
   // is the differential oracle, so its plane choices and emissions must
   // match branch for branch). Returns remaining demand in processing
   // units at the config bandwidth.
+  auto finish_flow = [&](const FlowDemand& f, Time at) {
+    out.flow_finish[{request.coflow, f.src, f.dst}] = at;
+    finish = std::max(finish, at);
+    obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
+                      .t = at,
+                      .coflow = request.coflow,
+                      .in = f.src,
+                      .out = f.dst});
+  };
   const auto num_planes = static_cast<PlaneId>(planes_.size());
-  auto make_reservation = [&](const FlowDemand& f) -> Time {
+  auto make_reservation = [&](PendingFlow& pending_flow) -> Time {
+    const FlowDemand& f = pending_flow.demand;
     Time best_wake = kTimeInf;
     PlaneId best_plane = 0;
     bool best_gap_limited = false;
@@ -521,8 +583,11 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
       const Time lm = tm - t;  // max length before blocking a prior one
       const Time ld =
           setup + f.processing * plane_scale_[static_cast<std::size_t>(p)];
-      // A reservation of length <= setup would transmit nothing: skip.
-      if (lm <= setup + kTimeEps) {
+      const Time l = std::min(lm, ld);
+      // A reservation of length <= setup would transmit nothing: skip. So
+      // would one the PRT stores as empty (t + l <= t + ε at δ = 0).
+      const bool empty = t + l <= t + kTimeEps;
+      if (lm <= setup + kTimeEps || (empty && l == lm)) {
         if (tm_release < best_wake) {
           best_wake = tm_release;
           best_plane = p;
@@ -530,10 +595,16 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
         }
         continue;
       }
-      const Time l = std::min(lm, ld);
+      if (empty) {
+        // A demand residue that short is within ε of done.
+        if (sink_ != nullptr) close_episode(f);
+        finish_flow(f, t);
+        return 0;
+      }
       const CircuitReservation reservation{f.src, f.dst,        t, t + l,
                                            setup, request.coflow, p};
       prt_.Reserve(reservation);
+      pending_flow.held_until = reservation.end;
       ++reservations_made;
       if (sink_ != nullptr) close_episode(f);
       if (callback_) callback_(reservation);
@@ -553,15 +624,7 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
                         .plane = p});
       const Time remaining = std::max(0.0, ld - l);
       if (remaining <= kTimeEps) {
-        // Flow finished in this reservation.
-        const Time flow_finish = t + l;
-        out.flow_finish[{request.coflow, f.src, f.dst}] = flow_finish;
-        finish = std::max(finish, flow_finish);
-        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
-                          .t = flow_finish,
-                          .coflow = request.coflow,
-                          .in = f.src,
-                          .out = f.dst});
+        finish_flow(f, t + l);  // flow finished in this reservation
         return 0;
       }
       return remaining / plane_scale_[static_cast<std::size_t>(p)];
@@ -587,9 +650,14 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
   };
 
   while (!pending.empty()) {
-    for (FlowDemand& f : pending) f.processing = make_reservation(f);
-    std::erase_if(pending,
-                  [](const FlowDemand& f) { return f.processing <= kTimeEps; });
+    for (PendingFlow& f : pending) {
+      if (f.held_until <= t + kTimeEps) {
+        f.demand.processing = make_reservation(f);
+      }
+    }
+    std::erase_if(pending, [](const PendingFlow& f) {
+      return f.demand.processing <= kTimeEps;
+    });
     if (pending.empty()) break;
     const Time next = prt_.NextReleaseAfter(t);
     SUNFLOW_CHECK_MSG(next < kTimeInf,

@@ -7,6 +7,8 @@
 //   executor.circuit_setups  counter, setups that paid δ
 //   executor.slots           counter, assignment slots executed
 //   prt.reservations         counter, PRT reservations committed
+//   core.plan.retries        counter, planner try_flow calls (ScheduleOne)
+//   core.plan.wake_instants  counter, wake instants the planner visited
 //   admission.admits/rejects counters, deadline admission outcomes
 //   replay.replans           counter, replan passes in trace replay
 //   starvation.rounds        counter, τ spans executed

@@ -7,7 +7,10 @@
 // surface there.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "core/components.h"
 #include "core/policy.h"
 #include "core/sunflow.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 #include "trace/generator.h"
@@ -232,6 +236,49 @@ TEST(PlannerParallel, EngineReplayIdenticalWithAndWithoutPool) {
   EXPECT_EQ(serial_result.completion, pooled_result.completion);
   EXPECT_EQ(serial_result.reservations, pooled_result.reservations);
   EXPECT_EQ(serial_result.replans, pooled_result.replans);
+}
+
+// core.plan.retries / core.plan.wake_instants are tallied once per
+// ScheduleOne call, and the parallel path plans every request exactly once
+// (on its group's planner instead of the target), so both counts are the
+// same at any pool width — unlike prt.reservations, which the merge's
+// re-import counts a second time.
+TEST(PlannerParallel, PlanCountersIdenticalAcrossPoolWidths) {
+  Rng rng(42);
+  const auto reqs = RandomClusteredRequests(rng, 5, 40);
+  // {core.plan.retries, core.plan.wake_instants, plan.parallel_replans}
+  // recorded while planning `reqs` on a pool of `threads`.
+  const auto counts = [&](int threads) {
+    static constexpr const char* kNames[] = {
+        "core.plan.retries", "core.plan.wake_instants",
+        "plan.parallel_replans"};
+    const auto read = [] {
+      std::array<std::uint64_t, 3> v{};
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        const obs::Counter* c = obs::GlobalMetrics().FindCounter(kNames[i]);
+        v[i] = c != nullptr ? c->value() : 0;
+      }
+      return v;
+    };
+    const auto before = read();
+    {
+      runtime::ThreadPool pool(threads);
+      SunflowPlanner planner(20, Config());
+      ScheduleRequestsParallel(planner, Ptrs(reqs), &pool);
+    }
+    auto after = read();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  const auto serial = counts(1);
+  const auto pooled = counts(4);
+  EXPECT_GT(serial[0], reqs.size());
+  EXPECT_GT(serial[1], 0u);
+  EXPECT_EQ(pooled[0], serial[0]);
+  EXPECT_EQ(pooled[1], serial[1]);
+  EXPECT_EQ(serial[2], 0u);  // one thread: the serial fallback
+  EXPECT_EQ(pooled[2], 1u);  // four threads: planned in groups
 }
 
 TEST(PlannerParallel, NestedParallelForDoesNotDeadlock) {

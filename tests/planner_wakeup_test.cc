@@ -4,19 +4,23 @@
 // paper-literal release-chain walk it replaced: over randomized port
 // counts, orderings, δ values, quantization and established circuits, both
 // paths must produce bit-identical reservations, flow finishes and
-// completion times. A dedicated regression test pins the retry-order
-// contract: flows woken at the same instant are retried in their original
-// Ordered() positions, never in heap-arrival order. Established circuits
-// declared after a request's start are a precondition failure, not a
-// silent detour through the rescan loop.
+// completion times. A herd-scale case drives hundreds of flows onto shared
+// wake instants (K ∈ {1, 2, 4} planes, starts within ε of releases), where
+// the bucketed wakeup queue does its work. A dedicated regression test
+// pins the retry-order contract: flows woken at the same instant are
+// retried in their original Ordered() positions, never in queue-arrival
+// order. Established circuits declared after a request's start are a
+// precondition failure, not a silent detour through the rescan loop.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
 #include "core/sunflow.h"
+#include "obs/metrics.h"
 
 namespace sunflow {
 namespace {
@@ -31,6 +35,7 @@ void ExpectReservationsEqual(const std::vector<CircuitReservation>& a,
     EXPECT_EQ(a[i].end, b[i].end) << "i=" << i;
     EXPECT_EQ(a[i].setup, b[i].setup) << "i=" << i;
     EXPECT_EQ(a[i].coflow, b[i].coflow) << "i=" << i;
+    EXPECT_EQ(a[i].plane, b[i].plane) << "i=" << i;
   }
 }
 
@@ -125,6 +130,132 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
     }
     ExpectSchedulesEqual(got, want);
   }
+}
+
+// Many-to-many request of at least 200 flows over a hot subset of the
+// ports. Demands come from a few fixed sizes (plus an occasional sub-ε
+// offset), so releases pile onto the same instants — or onto sub-ε
+// clusters of them — and each wake instant wakes a herd of flows.
+PlanRequest HerdRequest(Rng& rng, PortId ports, CoflowId id, Time start) {
+  PlanRequest req;
+  req.coflow = id;
+  req.start = start;
+  const auto srcs = rng.SampleWithoutReplacement(
+      ports, static_cast<std::int32_t>(rng.UniformInt(15, 20)));
+  const auto dsts = rng.SampleWithoutReplacement(
+      ports, static_cast<std::int32_t>(rng.UniformInt(15, 20)));
+  static constexpr Time kSizes[] = {0.05, 0.1, 0.1, 0.25, 0.5};
+  for (PortId s : srcs) {
+    for (PortId d : dsts) {
+      Time p = kSizes[rng.UniformInt(0, 4)];
+      if (rng.Uniform(0, 1) < 0.2) p += 0.4 * kTimeEps;
+      if (rng.Uniform(0, 1) < 0.05) p = 0;
+      req.demand.push_back({s, d, p});
+    }
+  }
+  return req;
+}
+
+// Herd-scale differential: 32-64 ports, K ∈ {1, 2, 4} planes, per-plane
+// carry-over circuits at the first request's start, and later requests
+// starting at (or within ε of) a release already on the PRT. These are the
+// workloads where many flows share a wake instant, so the bucketed wakeup
+// queue must hand them back in exactly the rescan's order.
+TEST(PlannerWakeup, HerdScaleDifferentialAgainstRescanOracle) {
+  Rng rng(2016);
+  const auto read = [](const char* name) -> std::uint64_t {
+    const obs::Counter* c = obs::GlobalMetrics().FindCounter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  for (const int planes : {1, 2, 4}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto ports = static_cast<PortId>(rng.UniformInt(32, 64));
+      SunflowConfig cfg = RandomConfig(rng);
+      cfg.fabric = FabricSpec::Uniform(planes, cfg.delta, cfg.bandwidth);
+      const Time t0 = rng.Uniform(0, 3.0);
+      FabricEstablished carried(static_cast<std::size_t>(planes));
+      for (EstablishedCircuits& circuits : carried) {
+        const auto outs = rng.SampleWithoutReplacement(ports, ports);
+        for (PortId p = 0; p < ports; ++p) {
+          if (rng.Uniform(0, 1) < 0.5) circuits[p] = outs[p];
+        }
+      }
+      SunflowPlanner fast(ports, cfg);
+      SunflowPlanner oracle(ports, cfg);
+      fast.SetEstablishedCircuitsByPlane(carried, t0);
+      oracle.SetEstablishedCircuitsByPlane(carried, t0);
+      SunflowSchedule got, want;
+      const std::uint64_t retries0 = read("core.plan.retries");
+      const std::uint64_t instants0 = read("core.plan.wake_instants");
+      std::uint64_t first_pass = 0;
+      Time start = t0;
+      for (CoflowId id = 0; id < 3; ++id) {
+        const PlanRequest req = HerdRequest(rng, ports, id, start);
+        ASSERT_GE(req.demand.size(), 200u);
+        for (const FlowDemand& f : req.demand) {
+          first_pass += f.processing > kTimeEps;
+        }
+        EXPECT_EQ(fast.ScheduleOne(req, got),
+                  oracle.ScheduleOneRescan(req, want))
+            << "planes=" << planes << " trial=" << trial << " coflow=" << id;
+        // Next start: a release already on the PRT, exactly or ε/2 off.
+        const auto& made = fast.prt().reservations();
+        const Time release =
+            made[static_cast<std::size_t>(rng.UniformInt(
+                     0, static_cast<std::int64_t>(made.size()) - 1))]
+                .end;
+        static constexpr double kOffsets[] = {-0.5, 0.0, 0.5};
+        start = release + kOffsets[rng.UniformInt(0, 2)] * kTimeEps;
+      }
+      ExpectSchedulesEqual(got, want);
+      ExpectReservationsEqual(fast.prt().reservations(),
+                              oracle.prt().reservations());
+      // The walk really herded: on average each wake instant retried
+      // several flows.
+      const std::uint64_t woken =
+          read("core.plan.retries") - retries0 - first_pass;
+      const std::uint64_t instants =
+          read("core.plan.wake_instants") - instants0;
+      EXPECT_GT(woken, 2 * instants)
+          << "planes=" << planes << " trial=" << trial;
+    }
+  }
+}
+
+// At δ = 0 a gap or a demand a hair longer than ε can still round to an
+// interval the PRT rejects as empty (t + l <= t + ε in floating point).
+// Both paths must treat such a gap as a conflict and such a demand as
+// done, never abort in Reserve.
+TEST(PlannerWakeup, ZeroDeltaIntervalsThatRoundToEmptyAreNotReserved) {
+  // A start where t + ε rounds up: l = fl(t + ε) - t is exact and longer
+  // than ε, yet t + l == fl(t + ε).
+  Time t = 1.0;
+  while (!((t + kTimeEps) - t > kTimeEps)) t += 1e-7;
+  const Time l = (t + kTimeEps) - t;
+  ASSERT_TRUE(t + l <= t + kTimeEps);
+
+  SunflowConfig cfg;
+  cfg.bandwidth = 1.0;
+  cfg.delta = 0;
+  SunflowPlanner fast(3, cfg);
+  SunflowPlanner oracle(3, cfg);
+  SunflowSchedule got, want;
+  const PlanRequest occupant{1, t + l, {{0, 1, 1.0}}};
+  // (0, 2) sees a gap of l before the occupant on input 0; (1, 2) has l of
+  // demand left.
+  const PlanRequest squeezed{2, t, {{0, 2, 0.5}, {1, 2, l}}};
+  for (const PlanRequest* req : {&occupant, &squeezed}) {
+    EXPECT_EQ(fast.ScheduleOne(*req, got),
+              oracle.ScheduleOneRescan(*req, want));
+  }
+  ExpectSchedulesEqual(got, want);
+  ExpectReservationsEqual(fast.prt().reservations(),
+                          oracle.prt().reservations());
+  const auto& made = fast.prt().reservations();
+  ASSERT_EQ(made.size(), 2u);
+  EXPECT_EQ(made[1].in, 0);
+  EXPECT_EQ(made[1].start, made[0].end);  // waited out the occupant
+  EXPECT_EQ(got.flow_finish.at({2, 1, 2}), t);
 }
 
 // Circuits observed up at t=1 cannot carry into a plan that starts at t=0:
