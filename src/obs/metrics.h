@@ -7,7 +7,7 @@
 //   executor.circuit_setups  counter, setups that paid δ
 //   executor.slots           counter, assignment slots executed
 //   prt.reservations         counter, PRT reservations committed
-//   core.plan.retries        counter, planner try_flow calls (ScheduleOne)
+//   core.plan.retries        counter, MakeReservation calls in ScheduleOne
 //   core.plan.wake_instants  counter, wake instants the planner visited
 //   admission.admits/rejects counters, deadline admission outcomes
 //   replay.replans           counter, replan passes in trace replay
