@@ -388,8 +388,6 @@ class BenchSession {
                        static_cast<double>(ts.samples));
       AddManifestValue("timeline.decimations",
                        static_cast<double>(ts.decimations));
-      AddManifestValue("pool.peak_groups",
-                       static_cast<double>(ts.pool_peak_groups));
       AddManifestValue("replan.p50_us", ts.slo.p50_ns / 1e3);
       AddManifestValue("replan.p99_us", ts.slo.p99_ns / 1e3);
       AddManifestValue("replan.max_us", ts.slo.max_ns / 1e3);

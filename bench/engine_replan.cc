@@ -24,7 +24,6 @@
 #include "core/policy.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 #include "trace/generator.h"
 
@@ -70,8 +69,7 @@ sunflow::Trace SyntheticWorkload(int coflows, int ports, std::int64_t seed,
   return trace;
 }
 
-// Merged value of a GlobalMetrics() counter. Read only between replays,
-// once the pool has quiesced.
+// Merged value of a GlobalMetrics() counter, read between replays.
 std::uint64_t CounterValue(const char* name) {
   const sunflow::obs::Counter* c =
       sunflow::obs::GlobalMetrics().FindCounter(name);
@@ -110,11 +108,7 @@ int main(int argc, char** argv) {
   const std::string& engine_name = session.engine();
 
   const auto policy = MakeShortestFirstPolicy();
-  // The pool drives intra-replan group planning (scenario plan_pool);
-  // --threads=1 exercises the serial fallback.
-  runtime::ThreadPool pool(session.threads());
   engine::EngineConfig ec;
-  ec.plan_pool = &pool;
 
   std::ofstream cct_file;
   if (!cct_out.empty()) {

@@ -100,28 +100,6 @@ void SunflowPlanner::SetReservationCallback(ReservationCallback callback) {
   callback_ = std::move(callback);
 }
 
-void SunflowPlanner::ImportReservations(
-    const std::vector<CircuitReservation>& reservations) {
-  for (const CircuitReservation& r : reservations) {
-    prt_.Reserve(r);
-    if (callback_) callback_(r);
-    obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
-                      .t = r.start,
-                      .dur = r.length(),
-                      .coflow = r.coflow,
-                      .in = r.in,
-                      .out = r.out,
-                      .value = r.setup,
-                      .plane = r.plane});
-    obs::Emit(sink_, {.type = obs::EventType::kCircuitTeardown,
-                      .t = r.end,
-                      .coflow = r.coflow,
-                      .in = r.in,
-                      .out = r.out,
-                      .plane = r.plane});
-  }
-}
-
 std::vector<FlowDemand> SunflowPlanner::Ordered(
     const PlanRequest& request) const {
   std::vector<FlowDemand> p = request.demand;
@@ -218,6 +196,7 @@ struct SunflowPlanner::PlanCall {
         sink(planner.sink_),
         ordered(planner.Ordered(req)),
         remaining(ordered.size(), 0),
+        circuit_end(ordered.size(), kTimeInf),
         t(req.start),
         finish(req.start) {
     if (sink != nullptr) {
@@ -234,6 +213,8 @@ struct SunflowPlanner::PlanCall {
   /// Remaining demand per ordered index, in processing units at the config
   /// bandwidth; exactly 0 once the flow is done.
   std::vector<Time> remaining;
+  /// End of each flow's latest circuit; kTimeInf before its first.
+  std::vector<Time> circuit_end;
   Time t;
   Time finish;
   int reservations_made = 0;
@@ -520,9 +501,13 @@ void SunflowPlanner::MakeReservation(PlanCall& call, std::size_t idx,
       continue;
     }
     if (empty) {
-      // A demand residue that short is within ε of done.
+      // A demand residue that short is within ε of done. It finished with
+      // the flow's latest circuit, as a residue below ε does after the
+      // reservation below: a retry at a later t must not move the finish
+      // outside every circuit the flow held. A flow that never held one
+      // finishes at t.
       call.CloseEpisode(idx);
-      call.FinishFlow(idx, t);
+      call.FinishFlow(idx, std::min(t, call.circuit_end[idx]));
       attempt.wake = kTimeInf;
       return;
     }
@@ -530,6 +515,7 @@ void SunflowPlanner::MakeReservation(PlanCall& call, std::size_t idx,
                                          setup, call.request.coflow, p};
     prt_.Reserve(reservation);
     ++call.reservations_made;
+    call.circuit_end[idx] = reservation.end;
     call.CloseEpisode(idx);
     if (callback_) callback_(reservation);
     obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,

@@ -87,12 +87,6 @@ struct SunflowSchedule {
   /// All reservations, in the order they were created.
   std::vector<CircuitReservation> reservations;
 
-  /// Independent planning groups this call handed to the thread pool
-  /// (ScheduleRequestsParallel) — the pool occupancy the replan offered.
-  /// 0 on the serial path, so it is thread-count-dependent telemetry,
-  /// not part of the deterministic plan.
-  std::uint64_t parallel_groups = 0;
-
   Time MaxCompletion() const;
 };
 
@@ -144,7 +138,7 @@ class SunflowPlanner {
   SunflowSchedule ScheduleAll(const std::vector<PlanRequest>& requests);
 
   /// As above, via pointers: lets a caller plan a subset of its requests
-  /// (e.g. one port-disjoint group) without copying demand vectors.
+  /// (e.g. one core's share) without copying demand vectors.
   SunflowSchedule ScheduleAll(const std::vector<const PlanRequest*>& requests);
 
   /// Declares circuits already up at plan start (replay carry-over); `at`
@@ -165,13 +159,6 @@ class SunflowPlanner {
   using ReservationCallback = std::function<void(const CircuitReservation&)>;
   void SetReservationCallback(ReservationCallback callback);
 
-  /// Merges reservations planned elsewhere (e.g. per-component planners on
-  /// copies of this planner's state — see core/components.h) into this
-  /// PRT. Every reservation is re-validated against the port constraints;
-  /// the callback fires for each. Call with reservations sorted by start
-  /// time to preserve the streaming guarantee.
-  void ImportReservations(const std::vector<CircuitReservation>& reservations);
-
   /// Attaches a structured event tracer (obs/trace_sink.h). The planner
   /// emits kCircuitSetup / kCircuitTeardown for every reservation and
   /// kFlowFinished when a flow's demand drains; null (the default)
@@ -180,27 +167,15 @@ class SunflowPlanner {
   obs::TraceSink* trace_sink() const { return sink_; }
 
   const FabricReservationTable& prt() const { return prt_; }
-  const SunflowConfig& config() const { return config_; }
 
-  /// The effective plane list, ResolvePlanes(config()).
+  /// The effective plane list, ResolvePlanes(config).
   const std::vector<PlaneSpec>& planes() const { return planes_; }
   int num_planes() const { return static_cast<int>(planes_.size()); }
 
-  // Introspection for the parallel group planner (core/components.cc):
-  // worker planners replicate the established-circuit state, and the
-  // parallel path needs no callback observing the stream mid-plan.
-  const FabricEstablished& established_by_plane() const {
-    return established_;
-  }
+ private:
   /// True iff any plane has established circuits.
   bool has_established() const;
-  Time established_at() const { return established_at_; }
-  bool has_reservation_callback() const {
-    return static_cast<bool>(callback_);
-  }
-
- private:
-  /// The request's demand, quantized and permuted per config().order.
+  /// The request's demand, quantized and permuted per the config's order.
   std::vector<FlowDemand> Ordered(const PlanRequest& request) const;
   /// Maps the earliest pending wakeup onto the exact instant the legacy
   /// release-chain walk would visit next (see docs/engine.md).

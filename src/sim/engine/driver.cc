@@ -184,7 +184,7 @@ void ReplayDriver::NoteReplan(Time t, const SunflowSchedule& plan,
   for (const auto& [id, count] : plan.reservation_count)
     result.reservations[id] += count;
   if (timeline_ != nullptr) {
-    timeline_->NoteReplan(t, plan_ns, plan.parallel_groups);
+    timeline_->NoteReplan(t, plan_ns);
   }
   obs::GlobalMetrics().GetHistogram("scheduler.compute_ns").Record(plan_ns);
   obs::GlobalMetrics().GetCounter("replay.replans").Increment();

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "core/components.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
 #include "sched/kcore.h"
@@ -200,19 +199,14 @@ std::vector<const PlanRequest*> Pointers(
 
 // InterCoflow over the active set in policy order: builds views, orders,
 // plans on a fresh PRT (optionally seeded with carried-over circuits) and
-// reports the replan through the driver. With a pool, port-disjoint groups
-// of the active set plan concurrently (byte-identical output; the planner
-// here never carries a sink — the driver is the sole emitter — so the
-// parallel path's no-observer precondition always holds).
+// reports the replan through the driver.
 SunflowSchedule PlanActiveSet(ReplayDriver& driver,
                               const PriorityPolicy& policy,
                               const SunflowConfig& config,
-                              const FabricEstablished* established, Time t,
-                              runtime::ThreadPool* pool) {
+                              const FabricEstablished* established, Time t) {
   SimState& s = driver.state();
-  const std::vector<PlanRequest> owned =
+  const std::vector<PlanRequest> requests =
       PriorityOrderedRequests(s, policy, config.bandwidth, t);
-  const std::vector<const PlanRequest*> requests = Pointers(owned);
 
   SunflowPlanner planner(s.num_ports(), config);
   if (established != nullptr && AnyEstablished(*established)) {
@@ -221,7 +215,7 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
     planner.SetEstablishedCircuitsByPlane(*established, t);
   }
   const auto plan_begin = std::chrono::steady_clock::now();
-  SunflowSchedule plan = ScheduleRequestsParallel(planner, requests, pool);
+  SunflowSchedule plan = planner.ScheduleAll(requests);
   const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - plan_begin)
                            .count();
@@ -273,10 +267,6 @@ SunflowSchedule PlanPerCore(ReplayDriver& driver, const PriorityPolicy& policy,
     plan.completion_time.merge(core_plan.completion_time);
     plan.reservation_count.merge(core_plan.reservation_count);
     plan.flow_finish.merge(core_plan.flow_finish);
-    // Per-core plans run back to back; peak pool occupancy is the widest
-    // single core's group fan-out, not the sum.
-    plan.parallel_groups =
-        std::max(plan.parallel_groups, core_plan.parallel_groups);
   }
   const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - plan_begin)
@@ -334,8 +324,8 @@ class CircuitScenario final : public ScenarioPolicy {
         planning_ == Planning::kPerCore
             ? PlanPerCore(driver, policy_, config_.sunflow, planes_,
                           established, t)
-            : PlanActiveSet(driver, policy_, config_.sunflow, established, t,
-                            config_.plan_pool);
+            : PlanActiveSet(driver, policy_, config_.sunflow, established,
+                            t);
     last_plan_ = t;
 
     // Next event: a release or the earliest planned completion. A release
@@ -433,8 +423,7 @@ class GuardScenario final : public ScenarioPolicy {
       // --- T span: priority-scheduled InterCoflow plan, cut at events
       // (no carry-over, no throttle — each span replans from scratch). ---
       SunflowSchedule plan =
-          PlanActiveSet(driver, policy_, config_.sunflow, nullptr, t,
-                        config_.plan_pool);
+          PlanActiveSet(driver, policy_, config_.sunflow, nullptr, t);
 
       Time t_next = std::min(span_end, t_arrival);
       for (const auto& sc : active)

@@ -264,82 +264,87 @@ std::map<FlowId, std::vector<std::pair<Time, Time>>> BlockedUnion(
 // circuit and finish events byte for byte and the oracle's blocked time
 // per flow, and its trace must pass the auditor.
 TEST(PlannerWakeup, HerdScaleDifferentialAgainstRescanOracle) {
-  Rng rng(2016);
-  for (const int planes : {1, 2, 4}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      const HerdFabric h = MakeHerdFabric(rng, planes);
-      obs::MemorySink fast_sink;
-      obs::MemorySink oracle_sink;
-      SunflowPlanner fast = MakeHerdPlanner(h);
-      SunflowPlanner oracle = MakeHerdPlanner(h);
-      SunflowPlanner traced = MakeHerdPlanner(h, &fast_sink);
-      SunflowPlanner traced_oracle = MakeHerdPlanner(h, &oracle_sink);
-      SunflowSchedule got, want, traced_got, traced_want;
-      std::uint64_t woken = 0;
-      std::uint64_t instants = 0;
-      Time start = h.t0;
-      for (CoflowId id = 0; id < 3; ++id) {
-        const PlanRequest req = HerdRequest(rng, h.ports, id, start);
-        ASSERT_GE(req.demand.size(), 200u);
-        const std::uint64_t retries0 = CounterValue("core.plan.retries");
-        const std::uint64_t instants0 =
-            CounterValue("core.plan.wake_instants");
-        const Time finish = fast.ScheduleOne(req, got);
-        const std::uint64_t retries =
-            CounterValue("core.plan.retries") - retries0;
-        woken += retries - FirstPassRetries(req);
-        instants += CounterValue("core.plan.wake_instants") - instants0;
-        EXPECT_EQ(finish, oracle.ScheduleOneRescan(req, want))
-            << "planes=" << planes << " trial=" << trial << " coflow=" << id;
-        const std::uint64_t traced0 = CounterValue("core.plan.retries");
-        EXPECT_EQ(finish, traced.ScheduleOne(req, traced_got));
-        EXPECT_EQ(CounterValue("core.plan.retries") - traced0, retries)
-            << "planes=" << planes << " trial=" << trial << " coflow=" << id;
-        EXPECT_EQ(finish, traced_oracle.ScheduleOneRescan(req, traced_want));
-        start = NextHerdStart(rng, fast);
-      }
-      ExpectSchedulesEqual(got, want);
-      ExpectReservationsEqual(fast.prt().reservations(),
-                              oracle.prt().reservations());
-      ExpectSchedulesEqual(traced_got, got);
-      ExpectReservationsEqual(traced.prt().reservations(),
-                              fast.prt().reservations());
-      ExpectSchedulesEqual(traced_want, want);
-      for (const obs::EventType type :
-           {obs::EventType::kCircuitSetup, obs::EventType::kCircuitTeardown,
-            obs::EventType::kFlowFinished}) {
-        EXPECT_EQ(EventsOf(fast_sink, type), EventsOf(oracle_sink, type))
-            << "planes=" << planes << " trial=" << trial
-            << " type=" << obs::ToString(type);
-      }
-      EXPECT_EQ(BlockedUnion(fast_sink), BlockedUnion(oracle_sink))
-          << "planes=" << planes << " trial=" << trial;
-      EXPECT_FALSE(EventsOf(fast_sink, obs::EventType::kFlowBlocked).empty());
-      // The carried circuits were set up before t0: give the auditor the
-      // spans they continue, so a zero-setup start is a legal carry-over.
-      std::vector<obs::Event> events;
-      for (std::size_t p = 0; p < h.carried.size(); ++p) {
-        for (const auto& [in, out] : h.carried[p]) {
-          events.push_back({.type = obs::EventType::kCircuitSetup,
-                            .t = h.t0 - 1.0,
-                            .dur = 1.0,
-                            .in = in,
-                            .out = out,
-                            .value = h.cfg.delta,
-                            .plane = static_cast<PlaneId>(p)});
+  for (const std::uint64_t seed : {2016, 2017}) {
+    Rng rng(seed);
+    for (const int planes : {1, 2, 4}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const HerdFabric h = MakeHerdFabric(rng, planes);
+        obs::MemorySink fast_sink;
+        obs::MemorySink oracle_sink;
+        SunflowPlanner fast = MakeHerdPlanner(h);
+        SunflowPlanner oracle = MakeHerdPlanner(h);
+        SunflowPlanner traced = MakeHerdPlanner(h, &fast_sink);
+        SunflowPlanner traced_oracle = MakeHerdPlanner(h, &oracle_sink);
+        SunflowSchedule got, want, traced_got, traced_want;
+        std::uint64_t woken = 0;
+        std::uint64_t instants = 0;
+        Time start = h.t0;
+        for (CoflowId id = 0; id < 3; ++id) {
+          const PlanRequest req = HerdRequest(rng, h.ports, id, start);
+          ASSERT_GE(req.demand.size(), 200u);
+          const std::uint64_t retries0 = CounterValue("core.plan.retries");
+          const std::uint64_t instants0 =
+              CounterValue("core.plan.wake_instants");
+          const Time finish = fast.ScheduleOne(req, got);
+          const std::uint64_t retries =
+              CounterValue("core.plan.retries") - retries0;
+          woken += retries - FirstPassRetries(req);
+          instants += CounterValue("core.plan.wake_instants") - instants0;
+          EXPECT_EQ(finish, oracle.ScheduleOneRescan(req, want))
+              << "seed=" << seed << " planes=" << planes << " trial=" << trial
+              << " coflow=" << id;
+          const std::uint64_t traced0 = CounterValue("core.plan.retries");
+          EXPECT_EQ(finish, traced.ScheduleOne(req, traced_got));
+          EXPECT_EQ(CounterValue("core.plan.retries") - traced0, retries)
+              << "seed=" << seed << " planes=" << planes << " trial=" << trial
+              << " coflow=" << id;
+          EXPECT_EQ(finish, traced_oracle.ScheduleOneRescan(req, traced_want));
+          start = NextHerdStart(rng, fast);
         }
+        ExpectSchedulesEqual(got, want);
+        ExpectReservationsEqual(fast.prt().reservations(),
+                                oracle.prt().reservations());
+        ExpectSchedulesEqual(traced_got, got);
+        ExpectReservationsEqual(traced.prt().reservations(),
+                                fast.prt().reservations());
+        ExpectSchedulesEqual(traced_want, want);
+        for (const obs::EventType type :
+             {obs::EventType::kCircuitSetup, obs::EventType::kCircuitTeardown,
+              obs::EventType::kFlowFinished}) {
+          EXPECT_EQ(EventsOf(fast_sink, type), EventsOf(oracle_sink, type))
+              << "seed=" << seed << " planes=" << planes << " trial=" << trial
+              << " type=" << obs::ToString(type);
+        }
+        EXPECT_EQ(BlockedUnion(fast_sink), BlockedUnion(oracle_sink))
+            << "seed=" << seed << " planes=" << planes << " trial=" << trial;
+        EXPECT_FALSE(EventsOf(fast_sink, obs::EventType::kFlowBlocked).empty());
+        // The carried circuits were set up before t0: give the auditor the
+        // spans they continue, so a zero-setup start is a legal carry-over.
+        std::vector<obs::Event> events;
+        for (std::size_t p = 0; p < h.carried.size(); ++p) {
+          for (const auto& [in, out] : h.carried[p]) {
+            events.push_back({.type = obs::EventType::kCircuitSetup,
+                              .t = h.t0 - 1.0,
+                              .dur = 1.0,
+                              .in = in,
+                              .out = out,
+                              .value = h.cfg.delta,
+                              .plane = static_cast<PlaneId>(p)});
+          }
+        }
+        events.insert(events.end(), fast_sink.events().begin(),
+                      fast_sink.events().end());
+        const obs::AuditReport audit = obs::AuditTrace(events);
+        EXPECT_TRUE(audit.ok())
+            << "seed=" << seed << " planes=" << planes << " trial=" << trial
+            << ": "
+            << (audit.ok() ? "" : audit.violations[0].invariant + " " +
+                                      audit.violations[0].detail);
+        // The walk really herded: on average each wake instant retried
+        // several flows.
+        EXPECT_GT(woken, 2 * instants)
+            << "seed=" << seed << " planes=" << planes << " trial=" << trial;
       }
-      events.insert(events.end(), fast_sink.events().begin(),
-                    fast_sink.events().end());
-      const obs::AuditReport audit = obs::AuditTrace(events);
-      EXPECT_TRUE(audit.ok())
-          << "planes=" << planes << " trial=" << trial << ": "
-          << (audit.ok() ? "" : audit.violations[0].invariant + " " +
-                                    audit.violations[0].detail);
-      // The walk really herded: on average each wake instant retried
-      // several flows.
-      EXPECT_GT(woken, 2 * instants)
-          << "planes=" << planes << " trial=" << trial;
     }
   }
 }

@@ -3,10 +3,12 @@
 // coverage, the bit-identical-at-any-thread-count sweep contract, and
 // sharded-metrics merge equivalence.
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +107,20 @@ TEST(ThreadPoolTest, PoolIsReusableAfterException) {
   EXPECT_EQ(ok.load(), 8);
 }
 
+TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
+  // A task may itself call ParallelFor on the pool it runs on, so a
+  // waiting task must steal queued work instead of blocking a worker slot.
+  // A pool smaller than the total task fan-out deadlocks without stealing.
+  ThreadPool pool(2);
+  std::atomic<int> leaves{0};
+  pool.ParallelFor(0, 4, [&](std::size_t) {
+    pool.ParallelFor(0, 4, [&](std::size_t) {
+      leaves.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(leaves.load(), 16);
+}
+
 TEST(TaskSeedTest, DeterministicAndDecorrelated) {
   EXPECT_EQ(TaskSeed(42, 7), TaskSeed(42, 7));
   std::set<std::uint64_t> seeds;
@@ -152,26 +168,46 @@ TEST(SweepRunnerTest, EventBuffersComeBackInTaskOrder) {
 }
 
 // The tentpole contract, end to end: RunIntra over a real (small) trace
-// produces bit-identical records and merged event streams at any thread
-// count.
+// produces bit-identical records, merged event streams and planner
+// counters (core.plan.retries / core.plan.wake_instants, summed over the
+// per-thread shards) at any thread count.
 TEST(SweepRunnerTest, RunIntraBitIdenticalAcrossThreadCounts) {
   SyntheticTraceConfig tc;
   tc.num_coflows = 40;
   tc.num_ports = 24;
   const Trace trace = GenerateSyntheticTrace(tc);
 
+  const auto counter = [](const char* name) -> std::uint64_t {
+    const obs::Counter* c = obs::GlobalMetrics().FindCounter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  struct PlanCounts {
+    std::uint64_t retries;
+    std::uint64_t wake_instants;
+  };
   auto run = [&](int threads) {
     obs::MemorySink sink;
     exp::IntraRunConfig cfg;
     cfg.threads = threads;
     cfg.sink = &sink;
+    const PlanCounts before{counter("core.plan.retries"),
+                            counter("core.plan.wake_instants")};
     auto result = exp::RunIntra(trace, exp::IntraAlgorithm::kSunflow, cfg);
-    return std::pair{std::move(result), sink.events()};
+    const PlanCounts delta{
+        counter("core.plan.retries") - before.retries,
+        counter("core.plan.wake_instants") - before.wake_instants};
+    return std::tuple{std::move(result), sink.events(), delta};
   };
 
-  const auto [serial, serial_events] = run(1);
-  for (int threads : {2, 8}) {
-    const auto [parallel, parallel_events] = run(threads);
+  const auto [serial, serial_events, serial_counts] = run(1);
+  EXPECT_GT(serial_counts.retries, 0u);
+  EXPECT_GT(serial_counts.wake_instants, 0u);
+  for (int threads : {2, 4, 8}) {
+    const auto [parallel, parallel_events, parallel_counts] = run(threads);
+    EXPECT_EQ(parallel_counts.retries, serial_counts.retries)
+        << "threads " << threads;
+    EXPECT_EQ(parallel_counts.wake_instants, serial_counts.wake_instants)
+        << "threads " << threads;
     ASSERT_EQ(parallel.records.size(), serial.records.size());
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
       const auto &a = serial.records[i], &b = parallel.records[i];

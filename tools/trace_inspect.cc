@@ -21,8 +21,8 @@
 // also cross-checks the δ-paying setup count against the producer's
 // executor.circuit_setups metric.
 // --manifest alone inspects a run manifest instead of an event trace: it
-// prints the parallel-planning counters (plan.parallel_fallbacks /
-// pool.waiter_steals) and each profiled phase's share of total self time.
+// prints the pool's waiter-steal counter (pool.waiter_steals) and each
+// profiled phase's share of total self time.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -210,7 +210,7 @@ int InspectTimeline(const std::string& path) {
   return 0;
 }
 
-// --manifest mode: parallel-planning counters and per-phase self-time
+// --manifest mode: the pool's waiter-steal counter and per-phase self-time
 // shares from a run manifest (obs/manifest.h).
 int InspectManifest(const std::string& path) {
   obs::RunManifest m;
@@ -224,16 +224,9 @@ int InspectManifest(const std::string& path) {
   std::printf("tool: %s, wall %.2f ms, %d thread(s)\n", m.tool.c_str(),
               m.wall_ns / 1e6, m.threads);
 
-  double parallel_fallbacks = -1, waiter_steals = -1;
+  double waiter_steals = -1;
   for (const obs::MetricRow& r : m.metrics) {
-    if (r.name == "plan.parallel_fallbacks") parallel_fallbacks = r.value;
     if (r.name == "pool.waiter_steals") waiter_steals = r.value;
-  }
-  if (parallel_fallbacks >= 0) {
-    std::printf(
-        "parallel plan fallbacks: %.0f replan(s) fell back to the serial "
-        "path (no pool, one group, or an observer attached)\n",
-        parallel_fallbacks);
   }
   if (waiter_steals >= 0) {
     std::printf(
@@ -410,7 +403,7 @@ int main(int argc, char** argv) {
   const std::string manifest_path = flags.GetString(
       "manifest", "",
       "run manifest JSON to inspect instead of a trace: prints the "
-      "plan-cache counters and per-phase self-time shares (with --audit: "
+      "pool waiter-steal counter and per-phase self-time shares (with --audit: "
       "cross-checks the trace's setup count against its metrics)");
   const bool attribution = flags.GetBool(
       "attribution", false,
